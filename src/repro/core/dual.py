@@ -32,9 +32,12 @@ from repro.query.types import MovingObjectState, Vector
 class DualPoint(NamedTuple):
     """A transformed entry: object id plus dual coordinates.
 
-    A ``NamedTuple`` rather than a dataclass: millions of these are built
-    when thrashed leaf pages are re-deserialized, and tuple construction is
-    measurably cheaper.
+    A ``NamedTuple`` rather than a dataclass: tuple construction is
+    measurably cheaper, and write paths build one per entry of every leaf
+    they rewrite.  Queries do not build them: leaf records decode into
+    numpy columns (:class:`repro.core.nodes.LeafSoA`), and a record's
+    entry list is only built when a write path, a scalar or traced
+    search, or a checker asks for it.
     """
 
     oid: int

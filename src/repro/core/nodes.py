@@ -23,8 +23,8 @@ All integers are little-endian; coordinates are 8-byte floats by default or
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -65,13 +65,12 @@ class LeafSoA:
     """Structure-of-arrays view of one leaf record's entries.
 
     ``oids`` is an ``int64`` column; ``vs``/``ps`` are ``(n, d)`` coordinate
-    columns.  The tree builds them as ``float64`` even in the
-    paper-faithful float32 layout: dual coordinates are rounded at
-    transform time and widen exactly, so the column holds the same values
-    the scalar path compares without a per-query upcast copy.  The
-    vectorized query kernels
-    (:meth:`repro.core.query_region.QueryRegion2D.contains_batch`) consume
-    these columns instead of iterating :class:`DualPoint` objects.
+    columns.  They are always ``float64``, even in the paper-faithful
+    float32 layout: dual coordinates are rounded at transform time and
+    widen exactly, so the column holds the same values the scalar path
+    compares without a per-query upcast copy.  The vectorized query
+    kernels (:meth:`repro.core.query_region.QueryRegion2D.contains_batch`)
+    consume these columns instead of iterating :class:`DualPoint` objects.
     """
 
     __slots__ = ("oids", "vs", "ps")
@@ -85,72 +84,146 @@ class LeafSoA:
         return len(self.oids)
 
 
-def _build_soa(entries: List[DualPoint], d: int, dtype) -> LeafSoA:
+def _build_soa(entries: List[DualPoint], d: int) -> LeafSoA:
     n = len(entries)
     if n == 0:
         return LeafSoA(np.empty(0, dtype=np.int64),
-                       np.empty((0, d), dtype=dtype),
-                       np.empty((0, d), dtype=dtype))
+                       np.empty((0, d), dtype=np.float64),
+                       np.empty((0, d), dtype=np.float64))
     oids = np.fromiter((e.oid for e in entries), dtype=np.int64, count=n)
-    vs = np.array([e.v for e in entries], dtype=dtype)
-    ps = np.array([e.p for e in entries], dtype=dtype)
+    vs = np.array([e.v for e in entries], dtype=np.float64)
+    ps = np.array([e.p for e in entries], dtype=np.float64)
     return LeafSoA(oids, vs, ps)
 
 
-class _SoACacheMixin:
-    """Lazily built, self-invalidating SoA view for leaf-like records.
+def points_from_columns(oids: np.ndarray, vs: np.ndarray,
+                        ps: np.ndarray) -> List[DualPoint]:
+    """:class:`DualPoint` objects for SoA rows (Python ``int`` oids,
+    tuples of ``float``), in row order."""
+    return list(map(DualPoint, oids.tolist(), map(tuple, vs.tolist()),
+                    map(tuple, ps.tolist())))
 
-    The cached view is valid while the record's ``entries`` list is the
-    *same object* at the *same length*: every mutation path either
-    replaces the list or appends to it.  Holding a reference to the list
-    (not just its ``id``) makes the identity test immune to CPython id
-    reuse after garbage collection.
+
+class _LeafRecord:
+    """Entry storage shared by leaves and leaf extensions.
+
+    A record holds its entries as a ``List[DualPoint]``, as SoA columns
+    (:class:`LeafSoA`), or both:
+
+    * Records built in memory by the write paths start with the list;
+      :meth:`soa` builds the columns on first use and caches them.
+    * Records decoded from a page start with the columns only.  The
+      ``entries`` list is built from them on first access -- by a write
+      path, a scalar/traced search, or a checker -- so the query descent,
+      which reads only the columns, never creates per-entry objects.
+
+    The cached columns are valid while ``_entries`` is None (decoded,
+    never materialized) or is the *same list* at the *same length* the
+    columns were built from: every mutation path either replaces the
+    list or grows/shrinks it.  Holding a reference to the list (not just
+    its ``id``) makes the identity test immune to CPython id reuse.  The
+    query descent inlines this test; :meth:`soa` is the reference form.
     """
 
-    # Plain class attributes, not dataclass fields: they never serialize,
-    # never compare, and start unset on every deserialized record.
-    _soa = None
-    _soa_entries = None
-    _soa_len = -1
+    __slots__ = ("_entries", "_soa", "_soa_entries", "_soa_len",
+                 "overflow")
 
-    def soa(self, d: int, dtype) -> LeafSoA:
-        entries = self.entries
-        if (self._soa is not None and self._soa_entries is entries
-                and self._soa_len == len(entries)):
+    def _init_entries(self, entries: Optional[List[DualPoint]],
+                      overflow: int) -> None:
+        self._entries = entries if entries is not None else []
+        self._soa = None
+        self._soa_entries = None
+        self._soa_len = -1
+        self.overflow = overflow
+
+    def _adopt_columns(self, soa: LeafSoA) -> None:
+        """Hold decoded columns in place of an entry list."""
+        self._entries = None
+        self._soa = soa
+        self._soa_entries = None
+        self._soa_len = len(soa.oids)
+
+    @property
+    def entries(self) -> List[DualPoint]:
+        entries = self._entries
+        if entries is None:
+            soa = self._soa
+            entries = points_from_columns(soa.oids, soa.vs, soa.ps)
+            self._entries = entries
+            self._soa_entries = entries
+        return entries
+
+    @entries.setter
+    def entries(self, entries: List[DualPoint]) -> None:
+        self._entries = entries
+
+    @property
+    def size(self) -> int:
+        """Entries in this record only (not the overflow chain)."""
+        entries = self._entries
+        return self._soa_len if entries is None else len(entries)
+
+    def soa(self, d: int) -> LeafSoA:
+        entries = self._entries
+        if entries is None or (self._soa_entries is entries
+                               and self._soa_len == len(entries)):
             return self._soa
-        view = _build_soa(entries, d, dtype)
+        view = _build_soa(entries, d)
         self._soa = view
         self._soa_entries = entries
         self._soa_len = len(entries)
         return view
 
 
-@dataclass
-class LeafNode(_SoACacheMixin):
+class LeafNode(_LeafRecord):
     """Leaf bucket of dual points (plus an optional overflow chain)."""
 
-    level: int
-    v_corner: Tuple[float, ...]
-    p_corner: Tuple[float, ...]
-    entries: List[DualPoint] = field(default_factory=list)
-    overflow: int = INVALID_RID
+    __slots__ = ("level", "v_corner", "p_corner")
 
-    @property
-    def is_leaf(self) -> bool:
-        return True
+    is_leaf = True
 
-    @property
-    def size(self) -> int:
-        """Entries in this record only (not the overflow chain)."""
-        return len(self.entries)
+    def __init__(self, level: int, v_corner: Tuple[float, ...],
+                 p_corner: Tuple[float, ...],
+                 entries: Optional[List[DualPoint]] = None,
+                 overflow: int = INVALID_RID):
+        self.level = level
+        self.v_corner = v_corner
+        self.p_corner = p_corner
+        self._init_entries(entries, overflow)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LeafNode:
+            return NotImplemented
+        return (self.level == other.level
+                and self.v_corner == other.v_corner
+                and self.p_corner == other.p_corner
+                and self.overflow == other.overflow
+                and self.entries == other.entries)
+
+    def __repr__(self) -> str:
+        return (f"LeafNode(level={self.level!r}, v_corner={self.v_corner!r}, "
+                f"p_corner={self.p_corner!r}, entries={self.entries!r}, "
+                f"overflow={self.overflow!r})")
 
 
-@dataclass
-class LeafExtension(_SoACacheMixin):
+class LeafExtension(_LeafRecord):
     """Continuation record of an overflowing maximum-depth leaf."""
 
-    entries: List[DualPoint] = field(default_factory=list)
-    overflow: int = INVALID_RID
+    __slots__ = ()
+
+    def __init__(self, entries: Optional[List[DualPoint]] = None,
+                 overflow: int = INVALID_RID):
+        self._init_entries(entries, overflow)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LeafExtension:
+            return NotImplemented
+        return (self.overflow == other.overflow
+                and self.entries == other.entries)
+
+    def __repr__(self) -> str:
+        return (f"LeafExtension(entries={self.entries!r}, "
+                f"overflow={self.overflow!r})")
 
 
 Node = Union[NonLeafNode, LeafNode, LeafExtension]
@@ -183,6 +256,11 @@ class NodeCodec:
         # the leaf/extension capacities, so the memo stays small.
         self._entry_fmt = f"q{2 * d}{coord}"
         self._entry_batch: dict[int, struct.Struct] = {}
+        # Decode side: the same entry layout as a numpy structured dtype
+        # (v coordinates, then p coordinates, after the oid).
+        self._entry_dtype = np.dtype(
+            [("oid", "<i8"),
+             ("coords", "<f4" if float32 else "<f8", (2 * d,))])
 
     # ------------------------------------------------------------------ #
     # Sizes and capacities
@@ -283,14 +361,16 @@ class NodeCodec:
         # per coordinate in the float32 layout.
         return st.pack(*flat)
 
-    def _unpack_entries(self, raw: bytes, offset: int,
-                        count: int) -> List[DualPoint]:
+    def _unpack_columns(self, raw: bytes, offset: int,
+                        count: int) -> LeafSoA:
+        """Decode ``count`` packed entries into SoA columns with one
+        ``frombuffer`` over the entry dtype.  The widening copies give
+        aligned columns that do not keep ``raw`` alive."""
         d = self.d
-        end = offset + count * self._entry.size
-        return [
-            DualPoint(parts[0], parts[1: 1 + d], parts[1 + d: 1 + 2 * d])
-            for parts in self._entry.iter_unpack(raw[offset:end])
-        ]
+        rows = np.frombuffer(raw, self._entry_dtype, count, offset)
+        coords = rows["coords"].astype(np.float64)
+        return LeafSoA(rows["oid"].astype(np.int64),
+                       coords[:, :d], coords[:, d:])
 
     def _serialize_leaf(self, node: LeafNode) -> bytes:
         header = self._leaf_header.pack(
@@ -303,8 +383,10 @@ class NodeCodec:
         _, level, count, overflow = parts[:4]
         v_corner = tuple(parts[4: 4 + self.d])
         p_corner = tuple(parts[4 + self.d: 4 + 2 * self.d])
-        entries = self._unpack_entries(raw, self._leaf_header.size, count)
-        return LeafNode(level, v_corner, p_corner, entries, overflow)
+        leaf = LeafNode(level, v_corner, p_corner, None, overflow)
+        leaf._adopt_columns(
+            self._unpack_columns(raw, self._leaf_header.size, count))
+        return leaf
 
     def _serialize_extension(self, node: LeafExtension) -> bytes:
         header = self._ext_header.pack(
@@ -314,5 +396,7 @@ class NodeCodec:
     def _deserialize_extension(self, raw: bytes) -> LeafExtension:
         _, count, overflow = self._ext_header.unpack(
             raw[: self._ext_header.size])
-        entries = self._unpack_entries(raw, self._ext_header.size, count)
-        return LeafExtension(entries, overflow)
+        ext = LeafExtension(None, overflow)
+        ext._adopt_columns(
+            self._unpack_columns(raw, self._ext_header.size, count))
+        return ext

@@ -41,7 +41,7 @@ from repro.core.nodes import (
     Node,
     NodeCodec,
     NonLeafNode,
-    _build_soa,
+    points_from_columns,
 )
 from repro.core.query_region import QueryRegion2D, RelPos
 from repro.obs.tracer import DescentTrace
@@ -60,24 +60,20 @@ more than three scalar descents."""
 class _DeferredSegments:
     """Descent-ordered result accumulator for the vectorized search.
 
-    ``segments`` holds ``(entries, record, lit)`` triples: ``record`` is
-    the leaf-like record owning ``entries`` (its cached SoA view is read
-    at resolve time), or ``None`` for entries delivered without one.
-    ``lit`` marks segments reported wholesale (all-INSIDE subtrees),
-    which pass unconditionally -- they must NOT be re-tested by the
-    kernels, whose answer could differ from the rectangle classification
-    by an ulp at region boundaries.  Duck-types ``extend`` so fallback
-    paths can treat the sink like the scalar path's plain result list.
+    ``segments`` holds ``(record, lit)`` pairs: ``record`` is a leaf or
+    leaf extension whose SoA columns are read at resolve time -- the
+    descent never touches its ``entries``, so a record decoded from a
+    page never builds per-entry objects.  ``lit`` marks segments
+    reported wholesale (all-INSIDE subtrees), which pass
+    unconditionally -- they must NOT be re-tested by the kernels, whose
+    answer could differ from the rectangle classification by an ulp at
+    region boundaries.
     """
 
     __slots__ = ("segments",)
 
     def __init__(self):
         self.segments: List[tuple] = []
-
-    def extend(self, entries) -> None:
-        if entries:
-            self.segments.append((entries, None, True))
 
 
 #: What search paths append results into: a plain list on the scalar and
@@ -246,12 +242,6 @@ class DualQuadTree:
         self.d = space.d
         self.fanout = self.codec.fanout
         self._vectorized = config.vectorized
-        #: SoA column dtype.  Always float64, even for float32 trees:
-        #: float32 coordinates are rounded at transform time, and the
-        #: widening float32 -> float64 conversion is exact, so the wide
-        #: column holds the very same values the scalar path compares --
-        #: while sparing the kernels a per-query upcast copy.
-        self._coord_dtype = np.float64
         # Per-level side-length table, grown lazily: a node's geometry
         # depends only on its level, so the tuples are built once per
         # level instead of once per visit.
@@ -766,6 +756,17 @@ class DualQuadTree:
             rid = ext.overflow
         return entries
 
+    def _leaf_chain_size(self, leaf: LeafNode) -> int:
+        """Entries of the leaf including any overflow extensions, counted
+        without materializing them."""
+        total = leaf.size
+        rid = leaf.overflow
+        while rid != INVALID_RID:
+            ext = self.cache.get(rid)
+            total += ext.size
+            rid = ext.overflow
+        return total
+
     def _write_leaf_chain(self, rid: int, leaf: LeafNode,
                           entries: List[DualPoint]) -> None:
         """Rewrite the leaf and its overflow chain to hold ``entries``."""
@@ -927,100 +928,20 @@ class DualQuadTree:
         classifications, entries scanned -- at a small per-node cost; the
         default ``None`` leaves the hot path untouched.
         """
+        if self._vectorized and trace is None:
+            # The columnar descent, with the matching rows turned into
+            # points only at the end.
+            return points_from_columns(*self.search_columns(regions))
         if len(regions) != self.d:
             raise ValueError(
                 f"expected {self.d} query regions, got {len(regions)}")
         self.counters.searches += 1
-        if self._vectorized and trace is None:
-            # Deferred filtering: the descent only *collects* leaf-record
-            # SoA segments (plus wholesale INSIDE reports); the membership
-            # kernels then run once over the concatenated columns.  Leaf
-            # records average a few dozen entries, far too small to
-            # amortize per-call numpy overhead record by record.
-            acc = _DeferredSegments()
-            if self._root_is_leaf:
-                self._filter_leaf(self.cache.get(self._root_rid), regions,
-                                  acc)
-            else:
-                self._search_nonleaf(self._root_rid, regions, acc)
-            return self._resolve_segments(regions, acc)
         results: List[DualPoint] = []
         if self._root_is_leaf:
             leaf = self.cache.get(self._root_rid)
             self._filter_leaf(leaf, regions, results, trace)
         else:
             self._search_nonleaf(self._root_rid, regions, results, trace, 0)
-        return results
-
-    def _resolve_segments(self, regions: Tuple[QueryRegion2D, ...],
-                          acc: "_DeferredSegments") -> List[DualPoint]:
-        """Filter the collected segments in one vectorized pass.
-
-        Segment order is descent order, so the returned list is element-
-        for-element identical to the scalar path's; the kernels compute
-        per lane, so concatenating records changes nothing about any
-        lane's arithmetic.
-        """
-        segments = acc.segments
-        d = self.d
-        dtype = self._coord_dtype
-        results: List[DualPoint] = []
-        vs_list = []
-        ps_list = []
-        offsets = []
-        off = 0
-        for entries, rec, lit in segments:
-            if not lit:
-                offsets.append(off)
-                off += len(entries)
-                # soa() unrolled: the view is valid while the record's
-                # entries list is the same object at the same length.
-                if rec._soa_entries is entries and \
-                        rec._soa_len == len(entries):
-                    soa = rec._soa
-                else:
-                    soa = rec.soa(d, dtype)
-                vs_list.append(soa.vs)
-                ps_list.append(soa.ps)
-        if not vs_list:
-            for entries, _, _ in segments:
-                results.extend(entries)
-            return results
-        if len(vs_list) == 1:
-            vs, ps = vs_list[0], ps_list[0]
-        else:
-            vs = np.concatenate(vs_list)
-            ps = np.concatenate(ps_list)
-        mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
-        for i in range(1, d):
-            mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
-        # One global hit list over the concatenated columns.  Lit
-        # (all-INSIDE) segments interleave in descent order, so the hit
-        # list is split at each pending segment's start offset and each
-        # global index mapped back into its segment's entry list --
-        # never materialising a flattened candidate list.
-        hits = np.nonzero(mask)[0]
-        offsets.append(off)
-        bounds = np.searchsorted(hits, np.asarray(offsets)).tolist()
-        hits_l = hits.tolist()
-        seg_idx = 0
-        append = results.append
-        extend = results.extend
-        for entries, rec, lit in segments:
-            if lit:
-                extend(entries)
-                continue
-            lo = bounds[seg_idx]
-            hi = bounds[seg_idx + 1]
-            base = offsets[seg_idx]
-            seg_idx += 1
-            if lo == hi:
-                continue
-            if hi - lo == len(entries):
-                extend(entries)
-            else:
-                for j in hits_l[lo:hi]:
-                    append(entries[j - base])
         return results
 
     def search_columns(self, regions: Tuple[QueryRegion2D, ...]
@@ -1059,7 +980,6 @@ class DualQuadTree:
         """
         segments = acc.segments
         d = self.d
-        dtype = self._coord_dtype
         if not segments:
             return (np.empty(0, dtype=np.int64),
                     np.empty((0, d), dtype=np.float64),
@@ -1068,22 +988,23 @@ class DualQuadTree:
         lit_ranges = []
         any_pending = False
         off = 0
-        for entries, rec, lit in segments:
-            # soa() unrolled: the view is valid while the record's
-            # entries list is the same object at the same length.
-            if rec is None:
-                soa = _build_soa(entries, d, np.float64)
-            elif rec._soa_entries is entries and \
-                    rec._soa_len == len(entries):
+        for rec, lit in segments:
+            # soa() unrolled: decoded columns are valid until the entries
+            # are materialized; after that (and for in-memory records)
+            # while the entry list is the same object at the same length.
+            entries = rec._entries
+            if entries is None or (rec._soa_entries is entries
+                                   and rec._soa_len == len(entries)):
                 soa = rec._soa
             else:
-                soa = rec.soa(d, dtype)
+                soa = rec.soa(d)
             soas.append(soa)
+            n = rec._soa_len
             if lit:
-                lit_ranges.append((off, off + len(entries)))
+                lit_ranges.append((off, off + n))
             else:
                 any_pending = True
-            off += len(entries)
+            off += n
         if len(soas) == 1:
             oids, vs, ps = soas[0].oids, soas[0].vs, soas[0].ps
         else:
@@ -1115,8 +1036,7 @@ class DualQuadTree:
         """Append an overflow chain's records as deferred segments."""
         while rid != INVALID_RID:
             ext = self.cache.get(rid)
-            if ext.entries:
-                segments.append((ext.entries, ext, lit))
+            segments.append((ext, lit))
             rid = ext.overflow
 
     def _filter_leaf(self, leaf: LeafNode,
@@ -1125,8 +1045,7 @@ class DualQuadTree:
                      trace: Optional[DescentTrace] = None) -> None:
         if isinstance(results, _DeferredSegments):
             segments = results.segments
-            if leaf.entries:
-                segments.append((leaf.entries, leaf, False))
+            segments.append((leaf, False))
             if leaf.overflow != INVALID_RID:
                 self._defer_overflow(leaf.overflow, segments)
             return
@@ -1174,7 +1093,6 @@ class DualQuadTree:
         the scalar path's result order and page-access sequence.
         """
         d = self.d
-        dtype = self._coord_dtype
         scanned = 0
         rec = leaf
         while True:
@@ -1184,7 +1102,7 @@ class DualQuadTree:
             if 0 < n < self._BATCH_MIN_ENTRIES:
                 self._filter_entries_scalar(entries, regions, results)
             elif n:
-                soa = rec.soa(d, dtype)
+                soa = rec.soa(d)
                 vs = soa.vs
                 ps = soa.ps
                 mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
@@ -1296,9 +1214,7 @@ class DualQuadTree:
                     else:
                         # Inlined deferral for the common
                         # overflow-free leaf.
-                        entries = child.entries
-                        if entries:
-                            segments.append((entries, child, False))
+                        segments.append((child, False))
                         if child.overflow != invalid:
                             self._defer_overflow(child.overflow,
                                                  segments)
@@ -1402,16 +1318,11 @@ class DualQuadTree:
             return sum(1 for e in self._leaf_all_entries(leaf)
                        if self._point_matches(e, regions))
         d = self.d
-        dtype = self._coord_dtype
         total = 0
         rec = leaf
         while True:
-            n = len(rec.entries)
-            if 0 < n < self._BATCH_MIN_ENTRIES:
-                total += sum(1 for e in rec.entries
-                             if self._point_matches(e, regions))
-            elif n:
-                soa = rec.soa(d, dtype)
+            if rec.size:
+                soa = rec.soa(d)
                 mask = regions[0].contains_batch(soa.vs[:, 0], soa.ps[:, 0])
                 for i in range(1, d):
                     mask &= regions[i].contains_batch(soa.vs[:, i],
@@ -1453,7 +1364,7 @@ class DualQuadTree:
             if node.child_is_leaf[idx]:
                 leaf = self.cache.get(child_rid)
                 if all_inside:
-                    total += len(self._leaf_all_entries(leaf))
+                    total += self._leaf_chain_size(leaf)
                 else:
                     total += self._count_leaf(leaf, regions)
             elif all_inside:
@@ -1472,8 +1383,7 @@ class DualQuadTree:
                 if type(results) is _DeferredSegments:
                     # Lit segments: reported wholesale, never re-tested.
                     segments = results.segments
-                    if leaf.entries:
-                        segments.append((leaf.entries, leaf, True))
+                    segments.append((leaf, True))
                     if leaf.overflow != INVALID_RID:
                         self._defer_overflow(leaf.overflow, segments,
                                              lit=True)

@@ -44,7 +44,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.stripes import StripesConfig, StripesIndex, _net_update_runs
 from repro.query.types import MovingObjectState, PredictiveQuery
@@ -529,18 +529,21 @@ class ShardedStripes:
         # a consistent snapshot).  Snapshots are evaluated per
         # (shard, window) rather than concatenated: the narrower (B, N)
         # temporaries stay cache-resident, which measures faster than
-        # fewer-but-wider kernel calls on this workload.
-        flat_cols: List[tuple] = []
+        # fewer-but-wider kernel calls on this workload.  Each entry is
+        # ``(sid, snapshots, seconds spent under the lock)``; the shard's
+        # batch time is observed once its evaluation is done.
+        flat: List[tuple] = []
         degraded = self.degraded_shards()
         for shard in self._shards:
             if shard.sid in degraded:
                 continue
             if use_clock:
                 t0 = time.perf_counter()
+            snapshots = None
             try:
                 with shard.lock.read():
                     if shard.mirror.total_entries <= self.scan_threshold:
-                        flat_cols.extend(shard.mirror.window_columns())
+                        snapshots = shard.mirror.window_columns()
                     else:
                         # Tree descents mutate pool/cache state: they stay
                         # under the read lock plus the tree mutex.
@@ -554,11 +557,19 @@ class ShardedStripes:
                 # or shed precisely.  Results so far are NOT returned:
                 # this batch attempt is void.
                 raise ShardTransientError(shard.sid, exc) from exc
+            elapsed = time.perf_counter() - t0 if use_clock else 0.0
+            if snapshots is not None:
+                flat.append((shard.sid, snapshots, elapsed))
+            elif use_clock:
+                self._shard_batch_hists[shard.sid].observe(elapsed)
+        for sid, snapshots, elapsed in flat:
             if use_clock:
-                self._shard_batch_hists[shard.sid].observe(
-                    time.perf_counter() - t0)
-        for space, oids, vs, ps in flat_cols:
-            evaluate_batch(compiled, space, oids, vs, ps, results)
+                t0 = time.perf_counter()
+            for space, oids, vs, ps in snapshots:
+                evaluate_batch(compiled, space, oids, vs, ps, results)
+            if use_clock:
+                self._shard_batch_hists[sid].observe(
+                    elapsed + time.perf_counter() - t0)
         return results
 
     # ---------------------------------------------------------------- #

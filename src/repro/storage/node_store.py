@@ -15,8 +15,10 @@ of these through per-page size classes:
 :class:`NodeCache` adds a deserialized-object cache with *write-through*
 semantics: every read still performs a (logical) page access through the
 buffer pool -- so IO accounting is identical to a system that parses node
-bytes on every access -- but Python-level deserialization is skipped while
-the page stays resident.  Mutations serialize immediately into the page.
+bytes on every access -- but deserialization is skipped while the page
+stays resident.  Mutations serialize immediately into the page.  What a
+decode builds is up to the caller's codec: the STRIPES codec decodes leaf
+records into numpy columns, not per-entry objects.
 
 Concurrency invariant (single writer per shard)
 -----------------------------------------------
@@ -432,14 +434,18 @@ class NodeCache(Generic[T]):
     ``serialize``/``deserialize`` convert between node objects and record
     payload bytes.  Reads always touch the buffer pool (so residency and IO
     counts behave exactly as if nodes were parsed from bytes each time);
-    the Python object is only rebuilt after its page was evicted or its
-    record was rewritten.  Each cached object carries the record's write
-    generation (:meth:`RecordStore.generation_of`); a ``get`` whose stored
-    generation no longer matches counts as a decoded miss and
-    re-deserializes, so even raw :meth:`RecordStore.write`/``free`` calls
-    that bypass this cache can never serve a stale node.  Generations are
-    per record, not per page: rewriting one record does not invalidate its
-    page siblings (~11 non-leaf nodes share a page in the paper layout).
+    ``deserialize`` only runs again after the node's page was evicted or
+    its record was rewritten.  It is called once per miss and its result
+    is shared by every later hit, so a codec may return an object that
+    defers part of its decoding (the STRIPES leaf codec returns records
+    holding numpy columns and builds their entry lists on first use).
+    Each cached object carries the record's write generation
+    (:meth:`RecordStore.generation_of`); a ``get`` whose stored generation
+    no longer matches counts as a decoded miss and re-deserializes, so
+    even raw :meth:`RecordStore.write`/``free`` calls that bypass this
+    cache can never serve a stale node.  Generations are per record, not
+    per page: rewriting one record does not invalidate its page siblings
+    (~11 non-leaf nodes share a page in the paper layout).
     """
 
     def __init__(self, store: RecordStore,

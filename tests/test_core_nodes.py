@@ -1,5 +1,6 @@
 """Serialization round-trip tests for the quadtree node codec."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from repro.core.nodes import (
     LeafNode,
     NodeCodec,
     NonLeafNode,
+    _build_soa,
 )
 
 
@@ -125,3 +127,125 @@ class TestRoundTrips:
         node = NonLeafNode(0, (0.0, 0.0), (0.0, 0.0), children,
                            [False] * 16, 0)
         assert node.present_children() == [3, 7]
+
+
+def layout_points(d, float32, min_size=0, max_size=40):
+    """Entries whose coordinates the layout stores exactly (float32
+    values for the float32 layout), so a round trip is lossless."""
+    coord = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False,
+                      width=32 if float32 else 64)
+    return st.lists(
+        st.builds(DualPoint,
+                  oid=st.integers(min_value=-2**63, max_value=2**63 - 1),
+                  v=st.tuples(*[coord] * d),
+                  p=st.tuples(*[coord] * d)),
+        min_size=min_size, max_size=max_size)
+
+
+def assert_columns_equal(got, want):
+    """Bit-for-bit equality of two SoA views: dtype, shape and bytes."""
+    for name in ("oids", "vs", "ps"):
+        a = getattr(got, name)
+        b = getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def assert_plain_entries(entries, want):
+    assert entries == want
+    for entry in entries:
+        assert type(entry) is DualPoint
+        assert type(entry.oid) is int
+        assert type(entry.v) is tuple and type(entry.p) is tuple
+        assert all(type(x) is float for x in entry.v + entry.p)
+
+
+RECORD_BYTES = 400
+
+
+class TestColumnarDecode:
+    """Leaf and extension records decode straight into SoA columns; the
+    ``entries`` list is only built from them on first access."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=3), float32=st.booleans(),
+           data=st.data())
+    def test_leaf_and_extension_columns(self, d, float32, data):
+        codec = NodeCodec(d, float32)
+        entries = data.draw(layout_points(d, float32))
+        overflow = data.draw(st.sampled_from([INVALID_RID, 5, 2**40]))
+        if data.draw(st.booleans()):
+            record = LeafNode(3, (0.0,) * d, (1.0,) * d, list(entries),
+                              overflow)
+        else:
+            record = LeafExtension(list(entries), overflow)
+        back = codec.deserialize(codec.serialize(record))
+        assert type(back) is type(record)
+        assert back._entries is None
+        assert back.size == len(entries)
+        assert back.overflow == overflow
+        assert_columns_equal(back.soa(d), _build_soa(entries, d))
+        # Materializing does not disturb the decoded columns.
+        columns = back.soa(d)
+        assert_plain_entries(back.entries, entries)
+        assert back.soa(d) is columns
+        assert back == record
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=3), float32=st.booleans(),
+           data=st.data())
+    def test_overflow_chain_columns(self, d, float32, data):
+        """A leaf plus its extension chain, each record decoded on its
+        own, concatenates to the columns of the whole entry list.  Small
+        records keep the drawn chains short."""
+        codec = NodeCodec(d, float32)
+        leaf_cap = codec.leaf_capacity(RECORD_BYTES)
+        ext_cap = codec.extension_capacity(RECORD_BYTES)
+        entries = data.draw(layout_points(
+            d, float32, min_size=leaf_cap,
+            max_size=leaf_cap + 2 * ext_cap + 3))
+        chunks = [entries[:leaf_cap]] + [
+            entries[i: i + ext_cap]
+            for i in range(leaf_cap, len(entries), ext_cap)]
+        records = [LeafNode(20, (0.0,) * d, (0.0,) * d, chunks[0],
+                            1 if len(chunks) > 1 else INVALID_RID)]
+        for k, chunk in enumerate(chunks[1:], start=2):
+            records.append(LeafExtension(
+                chunk, k if k < len(chunks) else INVALID_RID))
+        decoded = [codec.deserialize(codec.serialize(rec))
+                   for rec in records]
+        for rec, chunk in zip(decoded, chunks):
+            assert len(codec.serialize(rec)) <= RECORD_BYTES
+            assert_columns_equal(rec.soa(d), _build_soa(chunk, d))
+        assert [rec.overflow for rec in decoded] \
+            == [rec.overflow for rec in records]
+        whole = _build_soa(entries, d)
+        for name in ("oids", "vs", "ps"):
+            joined = np.concatenate([getattr(rec.soa(d), name)
+                                     for rec in decoded])
+            assert joined.tobytes() == getattr(whole, name).tobytes()
+        chained = [e for rec in decoded for e in rec.entries]
+        assert_plain_entries(chained, entries)
+
+    def test_empty_records(self):
+        for float32 in (False, True):
+            codec = NodeCodec(2, float32)
+            for record in (LeafNode(0, (0.0, 0.0), (0.0, 0.0)),
+                           LeafExtension()):
+                back = codec.deserialize(codec.serialize(record))
+                assert back.size == 0
+                assert_columns_equal(back.soa(2), _build_soa([], 2))
+                assert back.entries == []
+
+    def test_mutation_invalidates_decoded_columns(self):
+        codec = NodeCodec(2)
+        entries = [DualPoint(i, (float(i), 1.0), (2.0, float(i)))
+                   for i in range(12)]
+        back = codec.deserialize(codec.serialize(
+            LeafNode(0, (0.0, 0.0), (0.0, 0.0), entries)))
+        back.entries.append(DualPoint(99, (9.0, 9.0), (9.0, 9.0)))
+        assert back.soa(2).oids.tolist() == list(range(12)) + [99]
+        back.entries = back.entries[:3]
+        assert back.soa(2).oids.tolist() == [0, 1, 2]
+        assert back.size == 3

@@ -4,6 +4,7 @@ rotation across shards."""
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -215,6 +216,39 @@ def test_tree_path_matches_flat_path():
     queries = [random_query(rng, 20.0) for _ in range(30)]
     for f, t in zip(flat.query_batch(queries), tree.query_batch(queries)):
         assert set(f) == set(t)
+
+
+def test_shard_batch_time_covers_flat_evaluation(monkeypatch):
+    """A flat-engine shard's ``batch_seconds`` observation must include
+    its ``evaluate_batch`` calls, which run after the snapshot loop."""
+    import repro.service.sharding as sharding_mod
+    from repro.obs.metrics import MetricsRegistry
+
+    delay = 0.02
+    calls_by_shard = {}
+    real_evaluate = sharding_mod.evaluate_batch
+
+    def slow_evaluate(compiled, space, oids, vs, ps, results):
+        sid = owner_of[id(oids)]
+        calls_by_shard[sid] = calls_by_shard.get(sid, 0) + 1
+        time.sleep(delay)
+        return real_evaluate(compiled, space, oids, vs, ps, results)
+
+    rng = random.Random(15)
+    sharded = ShardedStripes(CONFIG, n_shards=2, scan_threshold=10_000)
+    feed(sharded, build_operations(rng, n_objects=60, n_updates=20))
+    registry = MetricsRegistry()
+    sharded.attach_metrics(registry)
+    owner_of = {id(snapshot[1]): shard.sid
+                for shard in sharded._shards
+                for snapshot in shard.mirror.window_columns()}
+    monkeypatch.setattr(sharding_mod, "evaluate_batch", slow_evaluate)
+    sharded.query_batch([random_query(rng, 20.0) for _ in range(4)])
+    assert calls_by_shard, "flat engine never evaluated"
+    for sid, calls in calls_by_shard.items():
+        hist = registry.get(f"sharded_shard{sid}_batch_seconds")
+        assert hist.count == 1
+        assert hist.sum >= calls * delay
 
 
 def test_rotation_propagates_to_quiet_shards():
