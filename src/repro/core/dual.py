@@ -35,9 +35,9 @@ class DualPoint(NamedTuple):
     A ``NamedTuple`` rather than a dataclass: tuple construction is
     measurably cheaper, and write paths build one per entry of every leaf
     they rewrite.  Queries do not build them: leaf records decode into
-    numpy columns (:class:`repro.core.nodes.LeafSoA`), and a record's
-    entry list is only built when a write path, a scalar or traced
-    search, or a checker asks for it.
+    numpy columns (:class:`repro.core.nodes.LeafSoA`) -- traced ones
+    (``explain()``) too -- and a record's entry list is only built when
+    a write path, an extension (kNN, join), or a checker asks for it.
     """
 
     oid: int

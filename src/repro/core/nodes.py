@@ -67,8 +67,8 @@ class LeafSoA:
     ``oids`` is an ``int64`` column; ``vs``/``ps`` are ``(n, d)`` coordinate
     columns.  They are always ``float64``, even in the paper-faithful
     float32 layout: dual coordinates are rounded at transform time and
-    widen exactly, so the column holds the same values the scalar path
-    compares without a per-query upcast copy.  The vectorized query
+    widen exactly, so the column holds the same values the entries'
+    tuples hold, without a per-query upcast copy.  The vectorized query
     kernels (:meth:`repro.core.query_region.QueryRegion2D.contains_batch`)
     consume these columns instead of iterating :class:`DualPoint` objects.
     """
@@ -114,8 +114,9 @@ class _LeafRecord:
       :meth:`soa` builds the columns on first use and caches them.
     * Records decoded from a page start with the columns only.  The
       ``entries`` list is built from them on first access -- by a write
-      path, a scalar/traced search, or a checker -- so the query descent,
-      which reads only the columns, never creates per-entry objects.
+      path, an extension (kNN, join), or a checker -- so the query
+      descent, traced or not, reads only the columns and never creates
+      per-entry objects.
 
     The cached columns are valid while ``_entries`` is None (decoded,
     never materialized) or is the *same list* at the *same length* the

@@ -51,34 +51,12 @@ from repro.storage.node_store import (
     RecordStore,
 )
 
-_WRITE_GROUP_MIN = 4
-"""Batch size below which the grouped write descent falls back to the
-scalar per-point path: numpy classification of a 2-3 point group costs
-more than three scalar descents."""
-
-
-class _DeferredSegments:
-    """Descent-ordered result accumulator for the vectorized search.
-
-    ``segments`` holds ``(record, lit)`` pairs: ``record`` is a leaf or
-    leaf extension whose SoA columns are read at resolve time -- the
-    descent never touches its ``entries``, so a record decoded from a
-    page never builds per-entry objects.  ``lit`` marks segments
-    reported wholesale (all-INSIDE subtrees), which pass
-    unconditionally -- they must NOT be re-tested by the kernels, whose
-    answer could differ from the rectangle classification by an ulp at
-    region boundaries.
-    """
-
-    __slots__ = ("segments",)
-
-    def __init__(self):
-        self.segments: List[tuple] = []
-
-
-#: What search paths append results into: a plain list on the scalar and
-#: traced paths, a :class:`_DeferredSegments` on the vectorized path.
-ResultSink = "List[DualPoint] | _DeferredSegments"
+WRITE_GROUP_MIN = 4
+"""Batch size below which a batched write falls back to per-point
+inserts and deletes: numpy classification of a 2-3 point group costs
+more than three scalar descents.  Shared by every batched write path
+(:class:`repro.core.stripes.StripesIndex`,
+:class:`repro.service.sharding.ShardedStripes`)."""
 
 
 @dataclass(frozen=True)
@@ -100,13 +78,6 @@ class QuadTreeConfig:
     the ladder on overflow; only a leaf at the largest size splits.  When
     set, it overrides ``small_leaf_bytes``/``large_leaf_bytes`` and
     ``use_small_leaves``.
-
-    ``vectorized`` routes leaf filtering and counting through the numpy
-    batch kernels (SoA leaf columns +
-    :meth:`repro.core.query_region.QueryRegion2D.contains_batch`).  The
-    kernels return bit-identical results to the scalar per-entry tests;
-    ``vectorized=False`` keeps the pure-Python path (used by the parity
-    suite and as the pre-change benchmark baseline).
     """
 
     small_leaf_bytes: Optional[int] = None
@@ -116,7 +87,6 @@ class QuadTreeConfig:
     use_small_leaves: bool = True
     quad_pruning: bool = True
     leaf_size_ladder: Optional[Tuple[int, ...]] = None
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.leaf_size_ladder is not None:
@@ -241,7 +211,6 @@ class DualQuadTree:
         # Plain attributes (not properties): these sit on query hot paths.
         self.d = space.d
         self.fanout = self.codec.fanout
-        self._vectorized = config.vectorized
         # Per-level side-length table, grown lazily: a node's geometry
         # depends only on its level, so the tuples are built once per
         # level instead of once per visit.
@@ -254,8 +223,7 @@ class DualQuadTree:
             for idx in range(self.fanout))
         # Hoisted hot-path flags: attribute chains cost on every visit.
         self._quad_pruning = config.quad_pruning
-        self._fast_descent = (self.d == 2 and config.vectorized
-                              and config.quad_pruning)
+        self._fast_descent = self.d == 2 and config.quad_pruning
         self.counters = QuadTreeCounters()
         #: Optional :class:`repro.obs.tracer.Tracer`; when set, structural
         #: events (splits, promotions, collapses, spills) are recorded.
@@ -485,13 +453,13 @@ class DualQuadTree:
         boundary in one step.  ``vs``/``ps`` are optional pre-built
         ``(n, d)`` float64 coordinate columns (from
         :meth:`repro.core.dual.DualSpace.to_dual_batch`); they are derived
-        from ``points`` when absent.  In scalar mode
-        (``vectorized=False``) this is exactly the sequential loop.
+        from ``points`` when absent.  Batches below
+        :data:`WRITE_GROUP_MIN` take the sequential loop.
         """
         n = len(points)
         if n == 0:
             return
-        if not self._vectorized or n < _WRITE_GROUP_MIN:
+        if n < WRITE_GROUP_MIN:
             for point in points:
                 self.insert(point)
             return
@@ -629,7 +597,7 @@ class DualQuadTree:
         flags = [False] * n
         if n == 0:
             return flags
-        if not self._vectorized or n < _WRITE_GROUP_MIN:
+        if n < WRITE_GROUP_MIN:
             return [self.delete(point) for point in points]
         self.counters.deletes += n
         if vs is None or ps is None:
@@ -744,8 +712,8 @@ class DualQuadTree:
 
         ``out`` appends into the caller's accumulator instead of building
         (and having the caller re-copy) an intermediate list per record --
-        the bulk-collection paths (:meth:`all_entries`, subtree collapses,
-        whole-subtree reporting) pass one shared buffer down the walk.
+        the bulk-collection paths (:meth:`all_entries`, subtree collapses)
+        pass one shared buffer down the walk.
         """
         entries = out if out is not None else []
         entries.extend(leaf.entries)
@@ -923,62 +891,53 @@ class DualQuadTree:
         the native-space predicate; :class:`repro.core.stripes.StripesIndex`
         does this by default.
 
+        The answer of :meth:`search_columns` turned into points; see
+        there for ``trace``.
+        """
+        return points_from_columns(*self.search_columns(regions, trace))
+
+    def search_columns(self, regions: Tuple[QueryRegion2D, ...],
+                       trace: Optional[DescentTrace] = None
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Matching entries as ``(oids, vs, ps)`` numpy columns.
+
+        The descent classifies each node's child quads and queues every
+        leaf record it must read as a ``(record, lit)`` segment: ``lit``
+        records belong to all-INSIDE subtrees and are reported wholesale,
+        the others are filtered by the membership kernels in
+        :meth:`_resolve_columns`.  Candidates never leave column form, so
+        the caller's refinement (the exact common-instant check in
+        :mod:`repro.core.stripes`) runs directly on the returned columns,
+        and a record decoded from a page never builds its entry list.
+        Rows are in descent order.
+
         ``trace`` (a :class:`repro.obs.tracer.DescentTrace`) records the
         descent -- nodes visited, per-quad INSIDE/OVERLAP/DISJUNCT
         classifications, entries scanned -- at a small per-node cost; the
         default ``None`` leaves the hot path untouched.
         """
-        if self._vectorized and trace is None:
-            # The columnar descent, with the matching rows turned into
-            # points only at the end.
-            return points_from_columns(*self.search_columns(regions))
         if len(regions) != self.d:
             raise ValueError(
                 f"expected {self.d} query regions, got {len(regions)}")
         self.counters.searches += 1
-        results: List[DualPoint] = []
+        segments: List[tuple] = []
+        root = self.cache.get(self._root_rid)
         if self._root_is_leaf:
-            leaf = self.cache.get(self._root_rid)
-            self._filter_leaf(leaf, regions, results, trace)
+            self._defer_leaf(root, segments)
         else:
-            self._search_nonleaf(self._root_rid, regions, results, trace, 0)
-        return results
-
-    def search_columns(self, regions: Tuple[QueryRegion2D, ...]
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Matching entries as ``(oids, vs, ps)`` numpy columns.
-
-        Column-typed variant of :meth:`search` for the vectorized hot
-        path: the same descent, the same membership kernels, and the
-        same descent-ordered answer -- but candidates never leave SoA
-        form, so the caller's refinement step (the exact common-instant
-        check in :class:`repro.core.stripes`) can run directly on the
-        returned columns without rebuilding arrays from
-        :class:`DualPoint` objects.  Row ``k`` of each column describes
-        the ``k``-th entry :meth:`search` would return.
-        """
-        if len(regions) != self.d:
-            raise ValueError(
-                f"expected {self.d} query regions, got {len(regions)}")
-        self.counters.searches += 1
-        acc = _DeferredSegments()
-        if self._root_is_leaf:
-            self._filter_leaf(self.cache.get(self._root_rid), regions, acc)
-        else:
-            self._search_nonleaf(self._root_rid, regions, acc)
-        return self._resolve_columns(regions, acc)
+            self._search_nonleaf(root, regions, segments, trace, 0)
+        return self._resolve_columns(regions, segments, trace)
 
     def _resolve_columns(self, regions: Tuple[QueryRegion2D, ...],
-                         acc: "_DeferredSegments"
+                         segments: List[tuple],
+                         trace: Optional[DescentTrace] = None
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Kernel pass over the collected segments, staying columnar.
 
         Lit (all-INSIDE) rows bypass the kernels by forcing their mask
         range to True: re-testing them could disagree with the rectangle
-        classification by an ulp at region boundaries, and the scalar
-        path never tests them either.
+        classification by an ulp at region boundaries.
         """
-        segments = acc.segments
         d = self.d
         if not segments:
             return (np.empty(0, dtype=np.int64),
@@ -1011,137 +970,56 @@ class DualQuadTree:
             oids = np.concatenate([s.oids for s in soas])
             vs = np.concatenate([s.vs for s in soas])
             ps = np.concatenate([s.ps for s in soas])
-        if not any_pending:
-            return oids, vs, ps
-        mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
-        for i in range(1, d):
-            mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
-        for lo, hi in lit_ranges:
-            mask[lo:hi] = True
-        return oids[mask], vs[mask], ps[mask]
+        if any_pending:
+            mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
+            for i in range(1, d):
+                mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
+            for lo, hi in lit_ranges:
+                mask[lo:hi] = True
+            oids, vs, ps = oids[mask], vs[mask], ps[mask]
+        if trace is not None:
+            for rec, lit in segments:
+                if type(rec) is LeafNode:
+                    trace.leaf_visits += 1
+                if lit:
+                    trace.entries_reported += rec._soa_len
+                else:
+                    trace.entries_scanned += rec._soa_len
+            trace.candidates += len(oids)
+        return oids, vs, ps
 
-    def _point_matches(self, entry: DualPoint,
-                       regions: Tuple[QueryRegion2D, ...]) -> bool:
-        return all(regions[i].contains_point(entry.v[i], entry.p[i])
-                   for i in range(self.d))
-
-    #: Leaf records below this many entries are filtered by the scalar
-    #: loop even in vectorized mode: numpy call overhead exceeds the
-    #: per-entry test for very small batches.  Both paths are exact, so
-    #: the threshold is purely a performance knob.
-    _BATCH_MIN_ENTRIES = 8
-
-    def _defer_overflow(self, rid: int, segments: List[tuple],
-                        lit: bool = False) -> None:
-        """Append an overflow chain's records as deferred segments."""
+    def _defer_leaf(self, leaf: LeafNode, segments: List[tuple],
+                    lit: bool = False) -> None:
+        """Queue a leaf and its overflow chain as segments."""
+        segments.append((leaf, lit))
+        rid = leaf.overflow
         while rid != INVALID_RID:
             ext = self.cache.get(rid)
             segments.append((ext, lit))
             rid = ext.overflow
 
-    def _filter_leaf(self, leaf: LeafNode,
-                     regions: Tuple[QueryRegion2D, ...],
-                     results: "ResultSink",
-                     trace: Optional[DescentTrace] = None) -> None:
-        if isinstance(results, _DeferredSegments):
-            segments = results.segments
-            segments.append((leaf, False))
-            if leaf.overflow != INVALID_RID:
-                self._defer_overflow(leaf.overflow, segments)
-            return
-        if trace is not None:
-            trace.leaf_visits += 1
-            before = len(results)
-        if self._vectorized:
-            scanned = self._filter_leaf_batch(leaf, regions, results)
-        else:
-            entries = self._leaf_all_entries(leaf)
-            scanned = len(entries)
-            self._filter_entries_scalar(entries, regions, results)
-        if trace is not None:
-            trace.entries_scanned += scanned
-            trace.candidates += len(results) - before
+    def _search_nonleaf(self, node: NonLeafNode,
+                        regions: Tuple[QueryRegion2D, ...],
+                        segments: List[tuple],
+                        trace: Optional[DescentTrace], depth: int) -> None:
+        """Classify ``node``'s children and queue their matching leaf
+        records into ``segments``.
 
-    def _filter_entries_scalar(self, entries: List[DualPoint],
-                               regions: Tuple[QueryRegion2D, ...],
-                               results: List[DualPoint]) -> None:
-        if self.d == 2:
-            # Hand-unrolled two-dimensional path: this loop runs once per
-            # candidate entry and dominates query CPU time when the batch
-            # kernels are disabled.
-            r0, r1 = regions
-            append = results.append
-            for entry in entries:
-                v = entry.v
-                p = entry.p
-                if (r0.contains_point(v[0], p[0])
-                        and r1.contains_point(v[1], p[1])):
-                    append(entry)
-        else:
-            for entry in entries:
-                if self._point_matches(entry, regions):
-                    results.append(entry)
-
-    def _filter_leaf_batch(self, leaf: LeafNode,
-                           regions: Tuple[QueryRegion2D, ...],
-                           results: List[DualPoint]) -> int:
-        """Vectorized leaf filter: one half-plane/polyline kernel per dual
-        plane over the leaf's SoA columns, then a single mask reduction.
-
-        Returns the number of entries scanned.  Overflow-chain records are
-        filtered record by record (each has its own SoA view), preserving
-        the scalar path's result order and page-access sequence.
+        Child ``base + c`` is visited for every ``(base, rb)`` in
+        ``outer`` and ``(c, r)`` in ``inner`` -- the children no plane
+        finds DISJUNCT, in ascending child index order.  It lies inside
+        the query body when ``rb`` and ``r`` are both INSIDE; then its
+        whole subtree is reported without further geometry tests.
         """
-        d = self.d
-        scanned = 0
-        rec = leaf
-        while True:
-            entries = rec.entries
-            n = len(entries)
-            scanned += n
-            if 0 < n < self._BATCH_MIN_ENTRIES:
-                self._filter_entries_scalar(entries, regions, results)
-            elif n:
-                soa = rec.soa(d)
-                vs = soa.vs
-                ps = soa.ps
-                mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
-                for i in range(1, d):
-                    mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
-                hits = np.nonzero(mask)[0]
-                if hits.size == n:
-                    results.extend(entries)
-                elif hits.size:
-                    results.extend([entries[j] for j in hits])
-            nxt = rec.overflow
-            if nxt == INVALID_RID:
-                return scanned
-            rec = self.cache.get(nxt)
-
-    def _search_nonleaf(self, rid: int, regions: Tuple[QueryRegion2D, ...],
-                        results: List[DualPoint],
-                        trace: Optional[DescentTrace] = None,
-                        depth: int = 0,
-                        node: Optional[NonLeafNode] = None) -> None:
-        # ``node`` is passed by the vectorized fast path below, which
-        # already fetched (and IO-accounted) the child before recursing.
-        if node is None:
-            node = self.cache.get(rid)
         level1 = node.level + 1
         sides = self._sides_table
         sl_v, sl_p = (sides[level1] if level1 < len(sides)
                       else self._child_sides(level1))
-        if trace is None and self._fast_descent:
-            # Untraced two-dimensional fast path: classify each plane's
-            # four quads once (Section 4.6.4), then iterate per-plane
-            # codes instead of flat child indexes, so one DISJUNCT
-            # plane-1 code skips its whole block of four children.
-            # Child index (c1 << 2) | c0 ascends with the loops, so
-            # visit order -- and therefore result order -- matches the
-            # generic loop below exactly.  Gated on the vectorized flag
-            # so ``vectorized=False`` stays the plain, obviously-correct
-            # reference descent that the parity suite and the
-            # before/after bench compare against.
+        if self._fast_descent:
+            # Two dimensions with the shared classification, inline:
+            # each plane's four quads are classified once and one
+            # DISJUNCT plane-1 code skips its whole block of four
+            # children.
             vc = node.v_corner
             pc = node.p_corner
             r0q, r1q = regions
@@ -1153,145 +1031,153 @@ class DualQuadTree:
             p_mid = pc[1] + sl_p[1]
             rel1 = r1q.classify_quads(vc[1], v_mid, v_mid + sl_v[1],
                                       pc[1], p_mid, p_mid + sl_p[1])
-            children = node.children
-            child_is_leaf = node.child_is_leaf
             disjunct = RelPos.DISJUNCT
-            inside = RelPos.INSIDE
-            cache = self.cache
-            cache_get = cache.get
-            # The leaf-child lookup below is cache.get unrolled into
-            # the loop: generation-checked object-cache probe, page
-            # touch for identical IO accounting, decode only on miss.
-            objects = cache._objects
-            gens = cache.store._record_gen
-            pool = cache.store.pool
-            frames = pool._frames
-            frames_move = frames.move_to_end
-            iostats = pool.stats
-            pool_fetch = pool.fetch
-            segments = (results.segments
-                        if type(results) is _DeferredSegments else None)
-            invalid = INVALID_RID
-            report_subtree = self._report_subtree
-            search_nonleaf = self._search_nonleaf
-            depth1 = depth + 1
-            live0 = [(c0, rel0[c0]) for c0 in range(4)
-                     if rel0[c0] is not disjunct]
-            for c1 in range(4):
-                r1 = rel1[c1]
-                if r1 is disjunct:
-                    continue
-                base = c1 << 2
-                for c0, r0 in live0:
-                    idx = base + c0
-                    child_rid = children[idx]
-                    if child_rid == invalid:
-                        continue
-                    if r0 is inside and r1 is inside:
-                        report_subtree(child_rid, child_is_leaf[idx],
-                                       results)
-                        continue
-                    entry = objects.get(child_rid)
-                    if entry is not None and \
-                            entry[0] == gens.get(child_rid, 0):
-                        page_id = child_rid // MAX_SLOTS_PER_PAGE
-                        if page_id in frames:
-                            # pool.touch unrolled: logical read
-                            # counted, frame moved to MRU.
-                            iostats.logical_reads += 1
-                            frames_move(page_id)
-                        else:
-                            pool_fetch(page_id).unpin()
-                        cache.hits += 1
-                        child = entry[1]
-                    else:
-                        child = cache_get(child_rid)
-                    if not child_is_leaf[idx]:
-                        search_nonleaf(child_rid, regions, results,
-                                       None, depth1, child)
-                    elif segments is None:
-                        self._filter_leaf(child, regions, results)
-                    else:
-                        # Inlined deferral for the common
-                        # overflow-free leaf.
-                        segments.append((child, False))
-                        if child.overflow != invalid:
-                            self._defer_overflow(child.overflow,
-                                                 segments)
-            return
+            inner = [(c, r) for c, r in enumerate(rel0) if r is not disjunct]
+            outer = [(c << 2, r) for c, r in enumerate(rel1)
+                     if r is not disjunct]
+            classified = (rel0, rel1)
+        else:
+            outer, inner, classified = self._plane_codes(node, regions,
+                                                         sl_v, sl_p)
         if trace is not None:
-            trace.nonleaf_visits += 1
-            if depth > trace.max_depth:
-                trace.max_depth = depth
-        if self._quad_pruning:
-            # Classify each plane's four quads once (Section 4.6.4); the
-            # shared-corner batch call evaluates each boundary point once
-            # and each child then just combines its per-plane codes.
-            plane_rel = []
-            for i in range(self.d):
-                v_mid = node.v_corner[i] + sl_v[i]
-                p_mid = node.p_corner[i] + sl_p[i]
-                plane_rel.append(regions[i].classify_quads(
-                    node.v_corner[i], v_mid, v_mid + sl_v[i],
-                    node.p_corner[i], p_mid, p_mid + sl_p[i]))
-            if trace is not None:
-                for quads in plane_rel:
-                    for rel in quads:
-                        if rel is RelPos.INSIDE:
-                            trace.quads_inside += 1
-                        elif rel is RelPos.DISJUNCT:
-                            trace.quads_disjunct += 1
-                        else:
-                            trace.quads_overlap += 1
-        child_codes = self._child_codes
-        for idx in range(self.fanout):
-            child_rid = node.children[idx]
-            if child_rid == INVALID_RID:
-                continue
-            disjunct = False
-            all_inside = True
-            for i in range(self.d):
-                code = child_codes[idx][i]
-                if self.config.quad_pruning:
-                    rel = plane_rel[i][code]
+            self._trace_nonleaf(node, outer, inner, classified, trace, depth)
+        children = node.children
+        child_is_leaf = node.child_is_leaf
+        inside = RelPos.INSIDE
+        invalid = INVALID_RID
+        cache = self.cache
+        cache_get = cache.get
+        # The child lookup below is cache.get unrolled into the loop:
+        # generation-checked object-cache probe, page touch for
+        # identical IO accounting, decode only on miss.
+        objects = cache._objects
+        gens = cache.store._record_gen
+        pool = cache.store.pool
+        frames = pool._frames
+        frames_move = frames.move_to_end
+        iostats = pool.stats
+        pool_fetch = pool.fetch
+        report_subtree = self._report_subtree
+        search_nonleaf = self._search_nonleaf
+        depth1 = depth + 1
+        for base, rb in outer:
+            for c, r in inner:
+                idx = base + c
+                child_rid = children[idx]
+                if child_rid == invalid:
+                    continue
+                if r is inside and rb is inside:
+                    report_subtree(child_rid, child_is_leaf[idx], segments,
+                                   trace)
+                    continue
+                entry = objects.get(child_rid)
+                if entry is not None and \
+                        entry[0] == gens.get(child_rid, 0):
+                    page_id = child_rid // MAX_SLOTS_PER_PAGE
+                    if page_id in frames:
+                        # pool.touch unrolled: logical read counted,
+                        # frame moved to MRU.
+                        iostats.logical_reads += 1
+                        frames_move(page_id)
+                    else:
+                        pool_fetch(page_id).unpin()
+                    cache.hits += 1
+                    child = entry[1]
                 else:
-                    v1 = node.v_corner[i] + (code & 1) * sl_v[i]
-                    p1 = node.p_corner[i] + ((code >> 1) & 1) * sl_p[i]
+                    child = cache_get(child_rid)
+                if not child_is_leaf[idx]:
+                    search_nonleaf(child, regions, segments, trace, depth1)
+                elif child.overflow == invalid:
+                    segments.append((child, False))
+                else:
+                    self._defer_leaf(child, segments)
+
+    def _plane_codes(self, node: NonLeafNode,
+                     regions: Tuple[QueryRegion2D, ...],
+                     sl_v: Tuple[float, ...], sl_p: Tuple[float, ...]):
+        """``(outer, inner, classified)`` for :meth:`_search_nonleaf` in
+        any dimensionality, and for ablation A2.
+
+        With the shared classification, ``inner`` holds plane 0's
+        non-DISJUNCT quad codes and ``outer`` the non-DISJUNCT
+        combinations of the other planes (INSIDE only if INSIDE in every
+        one of them).  Under A2 (``quad_pruning=False``) each present
+        child is classified on its own with
+        :meth:`QueryRegion2D.classify_rect`, plane by plane up to the
+        first DISJUNCT plane, and ``inner`` lists the surviving child
+        indexes.  ``classified`` holds every classification made, per
+        plane or per child, for the trace.
+        """
+        vc = node.v_corner
+        pc = node.p_corner
+        inside = RelPos.INSIDE
+        disjunct = RelPos.DISJUNCT
+        if not self._quad_pruning:
+            inner = []
+            classified = []
+            for idx in node.present_children():
+                rels = []
+                for i, code in enumerate(self._child_codes[idx]):
+                    v1 = vc[i] + (code & 1) * sl_v[i]
+                    p1 = pc[i] + ((code >> 1) & 1) * sl_p[i]
                     rel = regions[i].classify_rect(
                         v1, v1 + sl_v[i], p1, p1 + sl_p[i])
-                    if trace is not None:
-                        if rel is RelPos.INSIDE:
-                            trace.quads_inside += 1
-                        elif rel is RelPos.DISJUNCT:
-                            trace.quads_disjunct += 1
-                        else:
-                            trace.quads_overlap += 1
-                if rel is RelPos.DISJUNCT:
-                    disjunct = True
-                    break
-                if rel is not RelPos.INSIDE:
-                    all_inside = False
-            if disjunct:
-                if trace is not None:
-                    trace.children_pruned += 1
-                continue
-            if all_inside:
-                if trace is not None:
-                    trace.children_reported += 1
-                self._report_subtree(child_rid, node.child_is_leaf[idx],
-                                     results, trace)
-            elif node.child_is_leaf[idx]:
-                leaf = self.cache.get(child_rid)
-                if trace is not None:
-                    trace.children_recursed += 1
-                    if depth + 1 > trace.max_depth:
-                        trace.max_depth = depth + 1
-                self._filter_leaf(leaf, regions, results, trace)
-            else:
-                if trace is not None:
-                    trace.children_recursed += 1
-                self._search_nonleaf(child_rid, regions, results, trace,
-                                     depth + 1)
+                    rels.append(rel)
+                    if rel is disjunct:
+                        break
+                classified.append(rels)
+                if rel is not disjunct:
+                    all_inside = all(r is inside for r in rels)
+                    inner.append(
+                        (idx, inside if all_inside else RelPos.OVERLAP))
+            return [(0, inside)], inner, classified
+        planes = []
+        for i in range(self.d):
+            v_mid = vc[i] + sl_v[i]
+            p_mid = pc[i] + sl_p[i]
+            planes.append(regions[i].classify_quads(
+                vc[i], v_mid, v_mid + sl_v[i], pc[i], p_mid, p_mid + sl_p[i]))
+        inner = [(c, r) for c, r in enumerate(planes[0]) if r is not disjunct]
+        outer = [(0, inside)]
+        for i in range(self.d - 1, 0, -1):
+            outer = [(base | (c << (2 * i)), r if rb is inside else rb)
+                     for base, rb in outer
+                     for c, r in enumerate(planes[i]) if r is not disjunct]
+        return outer, inner, planes
+
+    @staticmethod
+    def _trace_nonleaf(node: NonLeafNode, outer, inner, classified,
+                       trace: DescentTrace, depth: int) -> None:
+        """Count one visit of ``node`` into ``trace``: its quad
+        classifications and the fate of each present child."""
+        inside = RelPos.INSIDE
+        disjunct = RelPos.DISJUNCT
+        trace.nonleaf_visits += 1
+        for rels in classified:
+            for rel in rels:
+                if rel is inside:
+                    trace.quads_inside += 1
+                elif rel is disjunct:
+                    trace.quads_disjunct += 1
+                else:
+                    trace.quads_overlap += 1
+        children = node.children
+        live = reported = 0
+        deepest = depth
+        for base, rb in outer:
+            for c, r in inner:
+                idx = base + c
+                if children[idx] == INVALID_RID:
+                    continue
+                live += 1
+                if r is inside and rb is inside:
+                    reported += 1
+                elif node.child_is_leaf[idx]:
+                    deepest = depth + 1
+        trace.max_depth = max(trace.max_depth, deepest)
+        trace.children_pruned += len(node.present_children()) - live
+        trace.children_reported += reported
+        trace.children_recursed += live - reported
 
     def count_in_regions(self, regions: Tuple[QueryRegion2D, ...]) -> int:
         """Number of entries inside the query body.
@@ -1314,9 +1200,6 @@ class DualQuadTree:
     def _count_leaf(self, leaf: LeafNode,
                     regions: Tuple[QueryRegion2D, ...]) -> int:
         """Matching entries in a leaf (and its overflow chain)."""
-        if not self._vectorized:
-            return sum(1 for e in self._leaf_all_entries(leaf)
-                       if self._point_matches(e, regions))
         d = self.d
         total = 0
         rec = leaf
@@ -1337,73 +1220,43 @@ class DualQuadTree:
                        regions: Tuple[QueryRegion2D, ...]) -> int:
         node = self.cache.get(rid)
         sl_v, sl_p = self._child_sides(node.level + 1)
-        plane_rel = []
-        for i in range(self.d):
-            v_mid = node.v_corner[i] + sl_v[i]
-            p_mid = node.p_corner[i] + sl_p[i]
-            plane_rel.append(regions[i].classify_quads(
-                node.v_corner[i], v_mid, v_mid + sl_v[i],
-                node.p_corner[i], p_mid, p_mid + sl_p[i]))
+        outer, inner, _ = self._plane_codes(node, regions, sl_v, sl_p)
+        inside = RelPos.INSIDE
         total = 0
-        child_codes = self._child_codes
-        for idx in range(self.fanout):
-            child_rid = node.children[idx]
-            if child_rid == INVALID_RID:
-                continue
-            disjunct = False
-            all_inside = True
-            for i in range(self.d):
-                rel = plane_rel[i][child_codes[idx][i]]
-                if rel is RelPos.DISJUNCT:
-                    disjunct = True
-                    break
-                if rel is not RelPos.INSIDE:
-                    all_inside = False
-            if disjunct:
-                continue
-            if node.child_is_leaf[idx]:
-                leaf = self.cache.get(child_rid)
-                if all_inside:
-                    total += self._leaf_chain_size(leaf)
+        for base, rb in outer:
+            for c, r in inner:
+                idx = base + c
+                child_rid = node.children[idx]
+                if child_rid == INVALID_RID:
+                    continue
+                all_inside = r is inside and rb is inside
+                if node.child_is_leaf[idx]:
+                    leaf = self.cache.get(child_rid)
+                    if all_inside:
+                        total += self._leaf_chain_size(leaf)
+                    else:
+                        total += self._count_leaf(leaf, regions)
+                elif all_inside:
+                    # The stored subtree size: no leaf pages are read.
+                    total += self.cache.get(child_rid).size
                 else:
-                    total += self._count_leaf(leaf, regions)
-            elif all_inside:
-                # The stored subtree size: no leaf pages are read.
-                total += self.cache.get(child_rid).size
-            else:
-                total += self._count_nonleaf(child_rid, regions)
+                    total += self._count_nonleaf(child_rid, regions)
         return total
 
     def _report_subtree(self, rid: int, is_leaf: bool,
-                        results: List[DualPoint],
+                        segments: List[tuple],
                         trace: Optional[DescentTrace] = None) -> None:
+        """Queue every leaf record of an all-INSIDE subtree as a lit
+        segment: reported wholesale, never re-tested."""
         if is_leaf:
-            leaf = self.cache.get(rid)
-            if trace is None:
-                if type(results) is _DeferredSegments:
-                    # Lit segments: reported wholesale, never re-tested.
-                    segments = results.segments
-                    segments.append((leaf, True))
-                    if leaf.overflow != INVALID_RID:
-                        self._defer_overflow(leaf.overflow, segments,
-                                             lit=True)
-                    return
-                self._leaf_all_entries(leaf, out=results)
-                return
-            before = len(results)
-            self._leaf_all_entries(leaf, out=results)
-            # Reported wholesale (all-INSIDE): entries become candidates
-            # without any per-entry geometry test.
-            trace.leaf_visits += 1
-            trace.entries_reported += len(results) - before
-            trace.candidates += len(results) - before
+            self._defer_leaf(self.cache.get(rid), segments, lit=True)
             return
         node = self.cache.get(rid)
         if trace is not None:
             trace.nonleaf_visits += 1
         for idx in node.present_children():
             self._report_subtree(node.children[idx], node.child_is_leaf[idx],
-                                 results, trace)
+                                 segments, trace)
 
     # ------------------------------------------------------------------ #
     # Bulk access, teardown, statistics

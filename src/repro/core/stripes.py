@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.dual import DualSpace
 from repro.core.quadtree import (
+    WRITE_GROUP_MIN,
     DualQuadTree,
     QuadTreeConfig,
     QuadTreeCounters,
@@ -69,6 +70,22 @@ class StripesConfig:
     @property
     def d(self) -> int:
         return len(self.vmax)
+
+
+def _refine(space: DualSpace, evaluator: MovingQueryEvaluator,
+            oids: np.ndarray, vs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Object ids of the dual-space candidate columns that satisfy the
+    exact common-instant predicate.
+
+    Each candidate's native motion is recovered from its dual
+    coordinates (velocity ``v - vmax``, position at the sub-index's
+    reference time) and tested with
+    :meth:`MovingQueryEvaluator.matches_batch`.
+    """
+    vmax = np.array(space.vmax, dtype=np.float64)
+    pvs = vs - vmax
+    p0s = ps - pvs * space.t_ref - vmax * space.lifetime
+    return oids[evaluator.matches_batch(p0s, pvs)]
 
 
 def _net_update_runs(pairs, window_of, d):
@@ -252,11 +269,6 @@ class StripesIndex:
     # Updates (Sections 4.3-4.5)
     # ------------------------------------------------------------------ #
 
-    #: Window groups below this size take the scalar per-point path: the
-    #: batch transform + grouped descent only pay off once a few points
-    #: share the descent.
-    _WRITE_BATCH_MIN = 4
-
     def insert(self, obj: MovingObjectState) -> None:
         """Insert a new predicted trajectory."""
         if obj.d != self.config.d:
@@ -278,8 +290,9 @@ class StripesIndex:
         batch-transformed (:meth:`DualSpace.to_dual_batch`) and fed to its
         sub-index's grouped descent (:meth:`DualQuadTree.insert_batch`),
         which visits every touched node once per batch instead of once
-        per point.  Groups below :attr:`_WRITE_BATCH_MIN`, and scalar
-        mode (``vectorized=False``), take the per-point reference path.
+        per point.  Groups below
+        :data:`repro.core.quadtree.WRITE_GROUP_MIN` take the per-point
+        path.
         """
         d = self.config.d
         by_window: Dict[int, List[MovingObjectState]] = {}
@@ -290,12 +303,11 @@ class StripesIndex:
             by_window.setdefault(self._window(obj.t), []).append(obj)
         hist = self._insert_batch_hist
         start = perf_counter() if hist is not None else 0.0
-        vectorized = self.config.quadtree.vectorized
         inserted = 0
         for window in sorted(by_window):
             tree = self._tree_for_window(window, create=True)
             group = by_window[window]
-            if vectorized and len(group) >= self._WRITE_BATCH_MIN:
+            if len(group) >= WRITE_GROUP_MIN:
                 batch = tree.space.to_dual_batch(group)
                 tree.insert_batch(batch.points(), batch.vs, batch.ps)
             else:
@@ -331,14 +343,13 @@ class StripesIndex:
         by_window: Dict[int, List[int]] = {}
         for j, obj in enumerate(objs):
             by_window.setdefault(self._window(obj.t), []).append(j)
-        vectorized = self.config.quadtree.vectorized
         for window in sorted(by_window):
             tree = self._tree_for_window(window, create=False)
             if tree is None:
                 continue
             idxs = by_window[window]
             group = [objs[j] for j in idxs]
-            if vectorized and len(group) >= self._WRITE_BATCH_MIN:
+            if len(group) >= WRITE_GROUP_MIN:
                 batch = tree.space.to_dual_batch(group)
                 gflags = tree.delete_batch(batch.points(),
                                            batch.vs, batch.ps)
@@ -409,7 +420,7 @@ class StripesIndex:
         """Apply one conflict-free run of ``(old, new, delete_window)``
         triples (each object id at most once), window-grouped; returns
         entries removed."""
-        if len(run) < self._WRITE_BATCH_MIN:
+        if len(run) < WRITE_GROUP_MIN:
             removed = 0
             for old, new, dw in run:
                 if old is not None and dw != self._window(new.t):
@@ -468,48 +479,25 @@ class StripesIndex:
 
     def _query_moving(self, moving, needs_refine: bool) -> List[int]:
         results: List[int] = []
-        if self.config.quadtree.vectorized:
-            # Columnar fast path: candidates come back from the tree as
-            # SoA columns in descent order and the exact common-instant
-            # refinement runs directly on them -- the arithmetic per lane
-            # is identical to the scalar loop below, so the answer (ids
-            # and order) is too.
-            evaluator = MovingQueryEvaluator(moving) if needs_refine else None
-            for tree in self._trees.values():
-                regions = build_query_regions(
-                    moving, self.config.vmax, self.config.lifetime,
-                    tree.space.t_ref)
-                oids, vs, ps = tree.search_columns(regions)
-                if not oids.size:
-                    continue
-                if needs_refine:
-                    space = tree.space
-                    vmax = np.array(space.vmax, dtype=np.float64)
-                    pvs = vs - vmax
-                    p0s = ps - pvs * space.t_ref - vmax * space.lifetime
-                    mask = evaluator.matches_batch(p0s, pvs)
-                    results.extend(oids[mask].tolist())
-                else:
-                    results.extend(oids.tolist())
-            return results
+        evaluator = MovingQueryEvaluator(moving) if needs_refine else None
         for tree in self._trees.values():
             regions = build_query_regions(
                 moving, self.config.vmax, self.config.lifetime,
                 tree.space.t_ref)
-            candidates = tree.search(regions)
+            oids, vs, ps = tree.search_columns(regions)
+            if not oids.size:
+                continue
             if needs_refine:
-                results.extend(self._refine(tree.space, candidates, moving))
-            else:
-                results.extend(entry.oid for entry in candidates)
+                oids = _refine(tree.space, evaluator, oids, vs, ps)
+            results.extend(oids.tolist())
         return results
 
     def query_batch(self, queries: Sequence[PredictiveQuery],
                     refine: bool = True) -> List[List[int]]:
         """Evaluate many queries against the current index state.
 
-        ``result[k]`` is exactly ``self.query(queries[k], refine)``: the
-        batch form exists so throughput workloads amortize per-call setup
-        and stay on the vectorized descent for every query.
+        ``result[k]`` is exactly ``self.query(queries[k], refine)``; the
+        queries run one after another through the same descent.
         """
         d = self.config.d
         out: List[List[int]] = []
@@ -522,46 +510,17 @@ class StripesIndex:
                 moving, refine and moving.t_low < moving.t_high))
         return out
 
-    #: Candidate sets below this size are refined by the scalar loop:
-    #: numpy setup costs more than a handful of exact tests.
-    _REFINE_BATCH_MIN = 8
-
-    def _refine(self, space: DualSpace, candidates, moving) -> List[int]:
-        """Exact common-instant check on dual-space candidates."""
-        evaluator = MovingQueryEvaluator(moving)
-        if (self.config.quadtree.vectorized
-                and len(candidates) >= self._REFINE_BATCH_MIN):
-            # Vectorized refinement: identical arithmetic per lane, so
-            # the survivor set matches the scalar loop bit for bit.
-            vmax = np.array(space.vmax, dtype=np.float64)
-            vs = np.array([e.v for e in candidates], dtype=np.float64)
-            ps = np.array([e.p for e in candidates], dtype=np.float64)
-            pvs = vs - vmax
-            p0s = ps - pvs * space.t_ref - vmax * space.lifetime
-            mask = evaluator.matches_batch(p0s, pvs)
-            return [candidates[j].oid for j in np.nonzero(mask)[0]]
-        matches = evaluator.matches_trajectory
-        vmax = space.vmax
-        t_ref = space.t_ref
-        lifetime = space.lifetime
-        survivors = []
-        for entry in candidates:
-            pv = [v - vm for v, vm in zip(entry.v, vmax)]
-            p0 = [p - pvi * t_ref - vm * lifetime
-                  for p, pvi, vm in zip(entry.p, pv, vmax)]
-            if matches(p0, pv):
-                survivors.append(entry.oid)
-        return survivors
-
     def explain(self, query: PredictiveQuery, refine: bool = True,
                 tracer: Optional[Tracer] = None) -> QueryExplain:
         """Run ``query`` once under tracing and return the full descent.
 
-        Produces the same answer as :meth:`query` plus, per live
-        sub-index, a :class:`repro.obs.tracer.DescentTrace` (nodes
-        visited, quads classified INSIDE/OVERLAP/DISJUNCT, children
-        pruned/reported, leaf records scanned) and the filter-and-refine
-        summary (candidates vs. refined-away).  ``tracer`` defaults to the
+        Runs the descent and refinement :meth:`query` runs, with a trace
+        threaded through, so it produces the same answer and page reads
+        as :meth:`query` plus, per live sub-index, a
+        :class:`repro.obs.tracer.DescentTrace` (nodes visited, quads
+        classified INSIDE/OVERLAP/DISJUNCT, children pruned/reported,
+        leaf records scanned) and the filter-and-refine summary
+        (candidates vs. refined-away).  ``tracer`` defaults to the
         attached tracer or a fresh private one; spans for the descent and
         refinement of each sub-index hang off the returned
         :attr:`QueryExplain.span`.
@@ -575,6 +534,7 @@ class StripesIndex:
             tracer = self.tracer if self.tracer is not None else Tracer()
         out = QueryExplain(query=query, index_name="STRIPES",
                            refined=needs_refine)
+        evaluator = MovingQueryEvaluator(moving) if needs_refine else None
         before = self.pool.stats.snapshot()
         with tracer.span("stripes.query",
                          kind=type(query).__name__) as root:
@@ -585,17 +545,16 @@ class StripesIndex:
                     regions = build_query_regions(
                         moving, self.config.vmax, self.config.lifetime,
                         tree.space.t_ref)
-                    candidates = tree.search(regions, trace)
+                    oids, vs, ps = tree.search_columns(regions, trace)
+                matched = oids
                 if needs_refine:
                     with tracer.span("stripes.refine", window=window):
-                        matched = self._refine(tree.space, candidates,
-                                               moving)
-                else:
-                    matched = [entry.oid for entry in candidates]
+                        matched = _refine(tree.space, evaluator, oids, vs,
+                                          ps)
                 out.sub_indexes.append(SubIndexExplain(
-                    label=label, trace=trace, candidates=len(candidates),
+                    label=label, trace=trace, candidates=len(oids),
                     matched=len(matched)))
-                out.results.extend(matched)
+                out.results.extend(matched.tolist())
         diff = self.pool.stats.diff(before)
         out.logical_reads = diff.logical_reads
         out.physical_reads = diff.physical_reads

@@ -6,9 +6,11 @@ with its own pagefile and buffer pool -- under a pluggable
 :class:`ShardPolicy`.  The decomposition follows the velocity/speed
 partitioning line of work (Nguyen et al., *Boosting Moving Object
 Indexing through Velocity Partitioning*; Xu et al., *Speed Partitioning
-for Indexing Moving Objects*): splitting a moving-object index into
-per-partition sub-indexes shrinks per-partition dead space and, here,
-gives each partition private storage so writers on one shard never block
+for Indexing Moving Objects*), which split a moving-object index into
+per-partition sub-indexes to shrink each partition's dead space.  Here
+every shard is built with the same global :class:`StripesConfig`, so a
+shard's dual space is as large as the unpartitioned index's; what the
+split buys is private storage, so writers on one shard never block
 readers on another.
 
 Lock model (the single-writer-per-shard invariant)
@@ -33,9 +35,10 @@ Below :attr:`ShardedStripes.scan_threshold` live entries per shard,
 query batches are evaluated by the cross-query vectorized flat engine
 (:mod:`repro.service.engine`) against the shard's columnar mirror -- one
 ``(B, N)`` broadcast per dual plane instead of B tree descents.  Above
-the threshold the per-shard ``query_batch`` tree descent takes over
-(the tree's pruning wins once N is large).  Both paths produce the same
-id sets as ``StripesIndex.query`` on the same entries.
+the threshold each shard's ``StripesIndex.query_batch`` runs one tree
+descent per query (the tree's pruning wins once N is large).  Both
+paths produce the same id sets as ``StripesIndex.query`` on the same
+entries.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.quadtree import WRITE_GROUP_MIN
 from repro.core.stripes import StripesConfig, StripesIndex, _net_update_runs
 from repro.query.types import MovingObjectState, PredictiveQuery
 from repro.service.engine import CompiledBatch, ShardMirror, evaluate_batch
@@ -96,15 +100,17 @@ class HashShardPolicy(ShardPolicy):
 class VelocityBandShardPolicy(ShardPolicy):
     """Partition by current speed into equal-width bands.
 
-    Objects of similar speed land together, so each shard's dual-space
-    velocity extent -- and with it the dead space a query region sweeps --
-    is a fraction of the unpartitioned index's, the effect the velocity/
-    speed-partitioning papers exploit.  ``max_speed`` is the workload's
-    speed bound (``|v| <= max_speed``); faster objects clamp into the top
-    band.  Note the shard is a function of the *state*: an object whose
-    update crosses a band boundary migrates (its update becomes a delete
-    on the old band's shard and an insert on the new one's), which the
-    facade handles by routing the two halves independently.
+    Objects of similar speed land together.  Every shard is still built
+    with the facade's global config, so its dual-space velocity extent
+    -- and the dead space a query region sweeps -- is the unpartitioned
+    index's, not the per-band fraction the velocity/speed-partitioning
+    papers exploit; a shard only holds fewer objects.  ``max_speed`` is
+    the workload's speed bound (``|v| <= max_speed``); faster objects
+    clamp into the top band.  Note the shard is a function of the
+    *state*: an object whose update crosses a band boundary migrates
+    (its update becomes a delete on the old band's shard and an insert
+    on the new one's), which the facade handles by routing the two
+    halves independently.
     """
 
     def __init__(self, max_speed: float):
@@ -429,10 +435,6 @@ class ShardedStripes:
             removed += self._apply_update_run(run) + credit
         return removed
 
-    #: Runs below this size take the per-pair path (mirrors
-    #: ``StripesIndex._WRITE_BATCH_MIN``).
-    _UPDATE_RUN_MIN = 4
-
     def _apply_update_run(self, pairs: List[Tuple[
             Optional[MovingObjectState], MovingObjectState, int]]) -> int:
         """Apply one conflict-free run of ``(old, new, delete_window)``
@@ -443,7 +445,7 @@ class ShardedStripes:
         removed-count undercount comes from."""
         if not pairs:
             return 0
-        if len(pairs) < self._UPDATE_RUN_MIN:
+        if len(pairs) < WRITE_GROUP_MIN:
             removed = 0
             for old, new, _ in pairs:
                 if self.update(old, new):

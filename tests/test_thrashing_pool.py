@@ -7,7 +7,8 @@ query-only pass may build its ``List[DualPoint]``.  Answers must match
 the exact scan oracle, and the page accesses per query must equal the
 counts below, which were recorded with the earlier decoder (one
 ``DualPoint`` per entry) -- changing how a record is decoded must not
-change which pages are read.
+change which pages are read.  ``explain()`` runs the same descent, so
+the same holds for it.
 """
 
 from __future__ import annotations
@@ -88,14 +89,18 @@ def build(config=CONFIG):
     return rng, states, index, oracle
 
 
-def query_pass(rng, index, oracle, now):
-    """Run one query-only pass; returns per-query ``(logical,
-    physical)`` reads after checking every answer against the oracle."""
+def query_pass(rng, index, oracle, now, explain=False):
+    """Run one query-only pass, through ``query()`` or ``explain()``;
+    returns per-query ``(logical, physical)`` reads after checking every
+    answer against the oracle."""
     io = []
     for _ in range(N_QUERIES):
         query = make_query(rng, now)
         before = index.pool.stats.snapshot()
-        got = index.query(query)
+        if explain:
+            got = index.explain(query).results
+        else:
+            got = index.query(query)
         diff = index.pool.stats.diff(before)
         io.append((diff.logical_reads, diff.physical_reads))
         assert sorted(got) == sorted(oracle.query(query)), query
@@ -132,6 +137,21 @@ def test_query_pass_reads_columns_only(decoded_leaves):
     assert not materialized, \
         f"{len(materialized)} of {len(decoded_leaves)} decoded leaves " \
         f"built entry lists during a query-only pass"
+    assert io == GOLDEN_IO
+
+
+def test_explain_traces_the_same_descent(decoded_leaves):
+    """``explain()`` runs the production descent: the same answers, the
+    same page reads per query, and no decoded leaf builds entries."""
+    rng, _, index, oracle = build()
+    del decoded_leaves[:]
+    io = query_pass(rng, index, oracle, now=150.0, explain=True)
+    assert decoded_leaves, "the pool never missed"
+    materialized = [rec for rec in decoded_leaves
+                    if rec._entries is not None]
+    assert not materialized, \
+        f"{len(materialized)} of {len(decoded_leaves)} decoded leaves " \
+        f"built entry lists during explain()"
     assert io == GOLDEN_IO
 
 

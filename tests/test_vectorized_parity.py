@@ -1,26 +1,32 @@
-"""Bit-exact parity of the vectorized query kernels with the scalar path.
+"""Query answers against the exact scan oracle, kernels against their
+scalar specifications, and ``explain()`` against golden descent counts.
 
-The PR 2 performance work (SoA leaf columns, ``contains_batch``,
-``classify_quads``, ``matches_batch``, batch refinement) is only
-admissible because every kernel promises *identical* answers to the
-scalar code it replaces -- not "close", identical.  This suite drives
-thousands of seeded-random trajectories and queries through both paths
-and compares results exactly, including float32-rounded points placed
-directly on the region's polyline boundaries where ``>=`` vs ``>``
-mistakes would show up.
+There is one query descent.  Its answers are checked against
+:class:`repro.baselines.scan.ScanIndex`, which evaluates every query
+predicate on every live object with no index at all, in every supported
+dimensionality, with and without the shared quad classification, in
+float64 and float32, before and after updates.  The numpy kernels the
+descent uses (``contains_batch``, ``classify_quads``, ``matches_batch``)
+must give *identical* answers to the per-point tests they vectorize --
+not "close", identical -- including float32-rounded points placed on
+the region's polyline boundaries, where ``>=`` vs ``>`` mistakes would
+show up.  ``explain()`` must trace that same descent: its counters must
+equal golden counts, its answers and page reads those of ``query()``.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from repro.core.dual import DualSpace
+from repro.baselines.scan import ScanIndex
 from repro.core.quadtree import QuadTreeConfig
 from repro.core.query_region import QueryRegion2D, build_query_regions
 from repro.core.stripes import StripesConfig, StripesIndex
+from repro.obs.tracer import DescentTrace
 from repro.query.predicates import MovingQueryEvaluator
 from repro.query.types import (
     MovingObjectState,
@@ -29,34 +35,36 @@ from repro.query.types import (
     WindowQuery,
 )
 
-VMAX = (3.0, 3.0)
-PMAX = (1000.0, 1000.0)
+VMAX = (3.0, 3.0, 2.0)
+PMAX = (1000.0, 1000.0, 800.0)
 LIFETIME = 120.0
 
 
-def random_query(rng: random.Random, d: int = 2):
-    kind = rng.choice(("ts", "win", "mov"))
+def random_query(rng: random.Random, d: int = 2, kind: Optional[str] = None,
+                 span: float = 100.0, t_lo: float = 0.0):
+    if kind is None:
+        kind = rng.choice(("ts", "win", "mov"))
     lo1 = tuple(rng.uniform(0.0, PMAX[i]) for i in range(d))
-    hi1 = tuple(lo1[i] + rng.uniform(0.0, 100.0) for i in range(d))
-    t1 = rng.uniform(0.0, LIFETIME)
+    hi1 = tuple(lo1[i] + rng.uniform(0.0, span) for i in range(d))
+    t1 = t_lo + rng.uniform(0.0, LIFETIME)
     if kind == "ts":
         return TimeSliceQuery(lo1, hi1, t1)
     t2 = t1 + rng.uniform(1e-3, 60.0)
     if kind == "win":
         return WindowQuery(lo1, hi1, t1, t2)
     lo2 = tuple(rng.uniform(0.0, PMAX[i]) for i in range(d))
-    hi2 = tuple(lo2[i] + rng.uniform(0.0, 100.0) for i in range(d))
+    hi2 = tuple(lo2[i] + rng.uniform(0.0, span) for i in range(d))
     return MovingQuery(lo1, hi1, lo2, hi2, t1, t2)
 
 
 def random_states(rng: random.Random, n: int, d: int = 2,
-                  t_max: float = LIFETIME):
+                  t_max: float = LIFETIME, t_lo: float = 0.0):
     return [
         MovingObjectState(
             oid,
             pos=tuple(rng.uniform(0.0, PMAX[i]) for i in range(d)),
             vel=tuple(rng.uniform(-VMAX[i], VMAX[i]) for i in range(d)),
-            t=rng.uniform(0.0, t_max))
+            t=rng.uniform(t_lo, t_max))
         for oid in range(n)
     ]
 
@@ -160,62 +168,118 @@ class TestMatchesBatchParity:
             assert got.tolist() == want
 
 
-def build_pair(float32: bool):
-    """Twin STRIPES indexes: vectorized kernels on vs the scalar path."""
-    def make(vectorized: bool) -> StripesIndex:
-        return StripesIndex(StripesConfig(
-            vmax=VMAX, pmax=PMAX, lifetime=LIFETIME, float32=float32,
-            quadtree=QuadTreeConfig(vectorized=vectorized)))
-    return make(True), make(False)
+def make_index(d: int = 2, float32: bool = False,
+               quad_pruning: bool = True) -> StripesIndex:
+    return StripesIndex(StripesConfig(
+        vmax=VMAX[:d], pmax=PMAX[:d], lifetime=LIFETIME, float32=float32,
+        quadtree=QuadTreeConfig(quad_pruning=quad_pruning)))
+
+
+def make_oracle(states) -> ScanIndex:
+    oracle = ScanIndex(LIFETIME)
+    for state in states:
+        oracle.insert(state)
+    return oracle
+
+
+def assert_answers_exact(index, oracle, queries):
+    """Every answer path equals the scan oracle; ``refine=False`` is a
+    superset of it (equal for time-slice queries)."""
+    batch = index.query_batch(queries)
+    raw = index.query_batch(queries, refine=False)
+    for k, query in enumerate(queries):
+        expect = sorted(oracle.query(query))
+        assert sorted(batch[k]) == expect, query
+        assert index.query(query) == batch[k]
+        assert index.count(query) == len(expect)
+        candidates = set(raw[k])
+        assert len(candidates) == len(raw[k])
+        assert candidates >= set(expect)
+        if isinstance(query, TimeSliceQuery):
+            assert sorted(raw[k]) == expect
+
+
+def moved(state: MovingObjectState, rng: random.Random,
+          t: float) -> MovingObjectState:
+    d = len(state.pos)
+    return MovingObjectState(
+        state.oid,
+        pos=tuple(rng.uniform(0.0, PMAX[i]) for i in range(d)),
+        vel=tuple(rng.uniform(-VMAX[i], VMAX[i]) for i in range(d)),
+        t=t)
 
 
 class TestIndexLevelParity:
-    """Whole-index answers are identical with kernels on or off."""
+    """Whole-index answers equal the exact scan oracle."""
 
     @pytest.mark.parametrize("float32", [False, True])
     @pytest.mark.parametrize("seed", [5, 6])
     def test_query_results_identical(self, seed, float32):
         rng = random.Random(seed)
-        vec, scalar = build_pair(float32)
+        index = make_index(float32=float32)
         states = random_states(rng, 1500)
-        vec.insert_batch(states)
-        for state in states:
-            scalar.insert(state)
-        assert len(vec) == len(scalar)
-        queries = [random_query(rng) for _ in range(120)]
-        batch = vec.query_batch(queries)
-        for k, query in enumerate(queries):
-            expect = scalar.query(query)
-            assert batch[k] == expect
-            assert vec.query(query) == expect
-            assert vec.count(query) == scalar.count(query)
+        index.insert_batch(states)
+        oracle = make_oracle(states)
+        assert len(index) == len(oracle)
+        assert_answers_exact(index, oracle,
+                             [random_query(rng) for _ in range(120)])
+
+    @pytest.mark.parametrize("float32", [False, True])
+    @pytest.mark.parametrize("quad_pruning", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dimensions_and_ablations(self, d, quad_pruning, float32):
+        """Time-slice, window and moving queries in every supported
+        dimensionality, with and without the shared quad classification
+        (ablation A2), before and after a round of updates."""
+        rng = random.Random(100 * d + 10 * quad_pruning + float32)
+        index = make_index(d, float32, quad_pruning)
+        states = random_states(rng, 800, d)
+        index.insert_batch(states)
+        oracle = make_oracle(states)
+        queries = [random_query(rng, d, kind)
+                   for kind in ("ts", "win", "mov") * 8]
+        assert_answers_exact(index, oracle, queries)
+        for state in states[::3]:
+            new = moved(state, rng, t=state.t + rng.uniform(0.0, 5.0))
+            assert index.update(state, new) == oracle.update(state, new)
+        assert index.check() == []
+        assert_answers_exact(index, oracle, queries)
 
     def test_refine_off_identical(self):
+        """``refine=False`` returns the per-plane candidates: a superset
+        of the exact answer, identical to it for time-slice queries."""
         rng = random.Random(8)
-        vec, scalar = build_pair(float32=False)
+        index = make_index()
         states = random_states(rng, 800)
-        vec.insert_batch(states)
-        scalar.insert_batch(states)
+        index.insert_batch(states)
+        oracle = make_oracle(states)
         queries = [random_query(rng) for _ in range(60)]
-        assert vec.query_batch(queries, refine=False) == \
-            [scalar.query(q, refine=False) for q in queries]
+        raw = index.query_batch(queries, refine=False)
+        assert raw == [index.query(q, refine=False) for q in queries]
+        for query, candidates in zip(queries, raw):
+            expect = oracle.query(query)
+            assert set(candidates) >= set(expect)
+            if isinstance(query, TimeSliceQuery):
+                assert sorted(candidates) == sorted(expect)
 
     def test_insert_batch_equals_sequential(self):
         rng = random.Random(9)
-        batch_idx, seq_idx = build_pair(float32=False)
+        batch_idx, seq_idx = make_index(), make_index()
         states = random_states(rng, 600)
         assert batch_idx.insert_batch(states) == len(states)
         for state in states:
             seq_idx.insert(state)
+        oracle = make_oracle(states)
         probes = [random_query(rng) for _ in range(40)]
         for query in probes:
-            assert sorted(batch_idx.query(query)) == \
-                sorted(seq_idx.query(query))
+            expect = sorted(oracle.query(query))
+            assert sorted(batch_idx.query(query)) == expect
+            assert sorted(seq_idx.query(query)) == expect
         assert batch_idx.pages_in_use() == seq_idx.pages_in_use()
 
     def test_query_batch_matches_sequential_on_same_index(self):
         rng = random.Random(10)
-        index, _ = build_pair(float32=False)
+        index = make_index()
         index.insert_batch(random_states(rng, 700))
         queries = [random_query(rng) for _ in range(50)]
         assert index.query_batch(queries) == \
@@ -227,23 +291,119 @@ class TestSoAStaleness:
 
     def test_updates_invalidate_soa(self):
         rng = random.Random(13)
-        vec, scalar = build_pair(float32=False)
+        index = make_index()
         states = random_states(rng, 400)
-        vec.insert_batch(states)
-        scalar.insert_batch(states)
-        query = TimeSliceQuery((0.0, 0.0), PMAX, t=30.0)
-        assert vec.query(query) == scalar.query(query)  # warm the SoA views
+        index.insert_batch(states)
+        oracle = make_oracle(states)
+        query = TimeSliceQuery((0.0, 0.0), PMAX[:2], t=30.0)
+        # Warm the SoA views.
+        assert sorted(index.query(query)) == sorted(oracle.query(query))
         for state in states[::3]:
-            moved = MovingObjectState(
+            new = MovingObjectState(
                 state.oid,
                 pos=tuple(min(PMAX[i], state.pos[i] + 1.0)
                           for i in range(2)),
                 vel=state.vel, t=state.t)
-            vec.update(state, moved)
-            scalar.update(state, moved)
+            assert index.update(state, new) == oracle.update(state, new)
         for _ in range(30):
             probe = random_query(rng)
-            assert vec.query(probe) == scalar.query(probe)
+            assert sorted(index.query(probe)) == sorted(oracle.query(probe))
+
+
+#: Objects in the index ``explain()`` is traced on, per dimensionality.
+GOLDEN_OBJECTS = {1: 1500, 2: 2500, 3: 5000}
+GOLDEN_QUERIES = 24
+
+#: Summed :class:`DescentTrace` counters (``max_depth``: the maximum) of
+#: ``explain()`` over the queries of :func:`golden_explain_pass`,
+#: recorded while ``explain()`` still ran a separate list-building
+#: descent; the single descent must reproduce every one of them.
+GOLDEN_TRACE = {
+    (1, True): dict(
+        nonleaf_visits=144, leaf_visits=341, max_depth=2, quads_inside=18,
+        quads_overlap=412, quads_disjunct=138, children_pruned=103,
+        children_reported=18, children_recursed=407, entries_scanned=27997,
+        entries_reported=2422, candidates=15193,
+    ),
+    (1, False): dict(
+        nonleaf_visits=144, leaf_visits=341, max_depth=2, quads_inside=18,
+        quads_overlap=407, quads_disjunct=103, children_pruned=103,
+        children_reported=18, children_recursed=407, entries_scanned=27997,
+        entries_reported=2422, candidates=15193,
+    ),
+    (2, True): dict(
+        nonleaf_visits=271, leaf_visits=1879, max_depth=2, quads_inside=119,
+        quads_overlap=1390, quads_disjunct=627, children_pruned=1533,
+        children_reported=102, children_recursed=1933, entries_scanned=31703,
+        entries_reported=2560, candidates=9458,
+    ),
+    (2, False): dict(
+        nonleaf_visits=271, leaf_visits=1879, max_depth=2, quads_inside=391,
+        quads_overlap=4349, quads_disjunct=1533, children_pruned=1533,
+        children_reported=102, children_recursed=1933, entries_scanned=31703,
+        entries_reported=2560, candidates=9458,
+    ),
+    (3, True): dict(
+        nonleaf_visits=361, leaf_visits=7344, max_depth=2, quads_inside=253,
+        quads_overlap=2849, quads_disjunct=1098, children_pruned=7061,
+        children_reported=244, children_recursed=6988, entries_scanned=63053,
+        entries_reported=3215, candidates=13357,
+    ),
+    (3, False): dict(
+        nonleaf_visits=361, leaf_visits=7344, max_depth=2, quads_inside=2486,
+        quads_overlap=25457, quads_disjunct=7061, children_pruned=7061,
+        children_reported=244, children_recursed=6988, entries_scanned=63053,
+        entries_reported=3215, candidates=13357,
+    ),
+}
+
+
+def golden_explain_pass(d: int, quad_pruning: bool):
+    """Build the fixed index for ``(d, quad_pruning)`` and yield
+    ``(index, query, explain)`` for each of its queries."""
+    rng = random.Random(2004 + d)
+    index = make_index(d, quad_pruning=quad_pruning)
+    states = random_states(rng, GOLDEN_OBJECTS[d], d, t_lo=30.0,
+                           t_max=150.0)
+    states.sort(key=lambda s: s.t)
+    index.insert_batch(states)
+    queries = [random_query(rng, d, ("ts", "win", "mov")[k % 3],
+                            span=(100.0, 900.0)[k % 2], t_lo=120.0)
+               for k in range(GOLDEN_QUERIES)]
+    # Whole-space queries report entire subtrees without testing them.
+    queries.append(TimeSliceQuery((0.0,) * d, PMAX[:d], t=125.0))
+    queries.append(WindowQuery((-500.0,) * d,
+                               tuple(p + 500.0 for p in PMAX[:d]),
+                               125.0, 140.0))
+    for query in queries:
+        yield index, query, index.explain(query)
+
+
+class TestExplainTracesTheDescent:
+    """``explain()`` runs the descent ``query()`` runs and traces it."""
+
+    @pytest.mark.parametrize("quad_pruning", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_golden_trace_counters(self, d, quad_pruning):
+        total = DescentTrace()
+        for index, query, explain in golden_explain_pass(d, quad_pruning):
+            for sub in explain.sub_indexes:
+                assert sub.trace.candidates == sub.candidates
+            total.merge(explain.total_trace())
+        counters = total.as_dict()
+        del counters["tpbr_tests"]
+        assert counters == GOLDEN_TRACE[d, quad_pruning]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_answers_and_reads_match_query(self, d):
+        for index, query, explain in golden_explain_pass(d, True):
+            before = index.pool.stats.snapshot()
+            got = index.query(query)
+            reads = index.pool.stats.diff(before).logical_reads
+            assert explain.results == got
+            assert explain.logical_reads == reads
+            assert explain.candidates == \
+                len(index.query(query, refine=False))
 
 
 class TestDecodedNodeCacheGenerations:

@@ -48,11 +48,10 @@ def make_tree(config=None, float32=False, pool_pages=4096):
                         config if config is not None else QuadTreeConfig())
 
 
-def make_index(float32=False, vectorized=True, pool_pages=4096):
+def make_index(float32=False, pool_pages=4096):
     pool = BufferPool(InMemoryPageFile(), capacity=pool_pages)
     config = StripesConfig(vmax=VMAX, pmax=PMAX, lifetime=LIFETIME,
-                           float32=float32,
-                           quadtree=QuadTreeConfig(vectorized=vectorized))
+                           float32=float32)
     return StripesIndex(config, pool)
 
 
@@ -313,16 +312,6 @@ class TestQuadTreeInsertBatch:
         points = random_dual_points(random.Random(1), 3, make_space())
         tree.insert_batch(points)
         assert tree.count == 3
-
-    def test_scalar_mode_falls_back(self):
-        config = QuadTreeConfig(vectorized=False)
-        tree = make_tree(config)
-        points = random_dual_points(random.Random(2), 100, make_space())
-        tree.insert_batch(points)
-        reference = make_tree(config)
-        for p in points:
-            reference.insert(p)
-        assert tree_entry_set(tree) == tree_entry_set(reference)
 
 
 class TestQuadTreeDeleteBatch:
