@@ -5,17 +5,21 @@ This is the index structure of Section 4: each of the ``d`` dual planes
 ``4^d`` (16 for the two-dimensional workloads of the evaluation).  The tree
 follows the paper's design decisions:
 
-* **Insert** (Section 4.3) descends a single root-to-leaf path using the
-  Eq. 1 child-index computation; missing target leaves are created lazily
-  (case 1), non-full leaves absorb the entry (case 2), and full leaves are
+* **Insert** (Section 4.3) is one grouped descent for any number of
+  points (a one-point insert is a group of one): each non-leaf on the way
+  partitions the group among its child quads by the Eq. 1 child-index
+  computation; missing target leaves are created lazily (case 1),
+  non-full leaves absorb their share (case 2), and full leaves are
   promoted or split (case 3).
 * **Two leaf sizes** (Section 5.1): leaves are born *small* (half a page)
   and are promoted to *large* (a full page) on their first overflow, which
   roughly doubles leaf page occupancy.  A split of a large leaf converts it
   to a non-leaf and redistributes entries into fresh small leaves; empty
   children are simply not materialised.
-* **Delete** (Section 4.4) checks non-leaf nodes for under-fill on the way
-  down; an under-filled subtree is collapsed back into a single leaf.
+* **Delete** (Section 4.4) runs the same grouped descent and checks
+  non-leaf nodes for under-fill on the way back up; the topmost
+  under-filled node of a path is collapsed back into a single leaf.  A
+  delete that finds nothing writes nothing.
 * **Search** (Section 4.6.4) classifies each plane's four quads against the
   plane's query region once per node (the 25 %-pruning optimisation) and
   combines the per-plane results per child: any-DISJUNCT prunes, all-INSIDE
@@ -29,7 +33,7 @@ spill into overflow extension records rather than splitting forever.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,11 +56,13 @@ from repro.storage.node_store import (
 )
 
 WRITE_GROUP_MIN = 4
-"""Batch size below which a batched write falls back to per-point
-inserts and deletes: numpy classification of a 2-3 point group costs
-more than three scalar descents.  Shared by every batched write path
-(:class:`repro.core.stripes.StripesIndex`,
-:class:`repro.service.sharding.ShardedStripes`)."""
+"""Write groups smaller than this are classified (Eq. 1, via
+:meth:`DualQuadTree._child_index`) and dual-transformed
+(:meth:`repro.core.dual.DualSpace.to_dual`) in Python rather than
+numpy, and write their non-leaves one by one: for a few points numpy's
+per-call cost outweighs its per-point savings.  The choice is made from
+the group size alone (:class:`DualQuadTree` write descents,
+:class:`repro.core.stripes.StripesIndex` batched writes)."""
 
 
 @dataclass(frozen=True)
@@ -294,54 +300,156 @@ class DualQuadTree:
     # ------------------------------------------------------------------ #
 
     def insert(self, point: DualPoint) -> None:
-        """Insert a dual point (single root-to-leaf path)."""
-        self.counters.inserts += 1
+        """Insert one dual point: a group of one (:meth:`insert_batch`)."""
+        self.insert_batch([point])
+
+    def insert_batch(self, points: List[DualPoint],
+                     vs: Optional[np.ndarray] = None,
+                     ps: Optional[np.ndarray] = None) -> None:
+        """Insert a group of dual points with one grouped descent.
+
+        Every non-leaf node on any insertion path is visited once: the
+        group is partitioned among its child quads by Eq. 1
+        (:meth:`_partition`), a missing child is built bottom-up by
+        :meth:`_build_subtree`, and each destination leaf admits,
+        promotes, spills or splits once for its share of the group
+        (:meth:`_leaf_insert_group`).  Each touched non-leaf is written
+        once, after its subtree; a group of :data:`WRITE_GROUP_MIN` or
+        more coalesces those writes into one
+        :meth:`NodeCache.update_many` batch pinning each page once.
+
+        The resulting tree is *query-equivalent* to inserting the points
+        one group of one at a time (same entries, same leaf membership);
+        split/promotion event counts may differ because a group crosses
+        a capacity boundary in one step.  ``vs``/``ps`` are optional
+        pre-built ``(n, d)`` float64 coordinate columns (from
+        :meth:`repro.core.dual.DualSpace.to_dual_batch`); a group of
+        :data:`WRITE_GROUP_MIN` or more points derives them when absent,
+        a smaller group never uses them.
+        """
+        n = len(points)
+        if n == 0:
+            return
+        vs, ps = self._group_columns(points, vs, ps)
+        self.counters.inserts += n
+        self.count += n
         if self._root_is_leaf:
             leaf = self.cache.get(self._root_rid)
-            self._root_rid, self._root_is_leaf = self._leaf_insert(
-                self._root_rid, leaf, point)
-            self.count += 1
+            self._root_rid, self._root_is_leaf = self._leaf_insert_group(
+                self._root_rid, leaf, points)
             return
-        rid = self._root_rid
-        while True:
-            node = self.cache.get(rid)
-            node.size += 1
-            idx = self._child_index(node, point)
-            child_rid = node.children[idx]
-            if child_rid == INVALID_RID:
-                # Case 1: target leaf does not exist yet.
-                v_corner, p_corner = self._child_corner(node, idx)
-                leaf = self._new_leaf(node.level + 1, v_corner, p_corner,
-                                      [point])
-                node.children[idx] = self.cache.insert(self.small_bytes, leaf)
-                node.child_is_leaf[idx] = True
-                self.cache.update(rid, node)
-                self.count += 1
-                return
-            if node.child_is_leaf[idx]:
-                leaf = self.cache.get(child_rid)
-                new_rid, is_leaf = self._leaf_insert(child_rid, leaf, point)
-                node.children[idx] = new_rid
-                node.child_is_leaf[idx] = is_leaf
-                self.cache.update(rid, node)
-                self.count += 1
-                return
-            self.cache.update(rid, node)
-            rid = child_rid
+        pending: List[Tuple[int, NonLeafNode]] = []
+        self._insert_group(self._root_rid, points, vs, ps, pending)
+        if pending:
+            self.cache.update_many(pending)
 
-    def _leaf_insert(self, rid: int, leaf: LeafNode,
-                     point: DualPoint) -> Tuple[int, bool]:
-        """Cases 2/3: insert into an existing leaf.  Returns the (possibly
-        new) record id and is-leaf flag the parent should point at."""
+    @staticmethod
+    def _group_columns(points: List[DualPoint], vs: Optional[np.ndarray],
+                       ps: Optional[np.ndarray]):
+        """The ``(vs, ps)`` columns a grouped descent classifies with:
+        ``(None, None)`` below :data:`WRITE_GROUP_MIN`, else the given
+        columns or ones built from ``points``."""
+        if len(points) < WRITE_GROUP_MIN:
+            return None, None
+        if vs is None or ps is None:
+            vs = np.array([e.v for e in points], dtype=np.float64)
+            ps = np.array([e.p for e in points], dtype=np.float64)
+        return vs, ps
+
+    def _partition(self, node: NonLeafNode, points: List[DualPoint],
+                   vs: Optional[np.ndarray], ps: Optional[np.ndarray]):
+        """Eq. 1 over a group: ``(child_idx, rows, sel)`` per child quad
+        the group reaches, in ascending child order.  ``rows`` lists the
+        positions in ``points`` landing in that quad and ``sel`` selects
+        the same rows of ``vs``/``ps``; both are ``None`` when the whole
+        group lands in one quad, so a group of one passes through
+        without a copy.
+
+        A group below :data:`WRITE_GROUP_MIN` comes without columns
+        (``vs is None``) and is classified point by point with
+        :meth:`_child_index`; a larger one with one numpy evaluation of
+        the same float64 ``>=`` tests over its columns, so every point
+        lands exactly where :meth:`_child_index` puts it.
+        """
+        if vs is None:
+            if len(points) == 1:
+                return ((self._child_index(node, points[0]), None, None),)
+            groups: Dict[int, List[int]] = {}
+            for j, point in enumerate(points):
+                groups.setdefault(self._child_index(node, point),
+                                  []).append(j)
+            if len(groups) == 1:
+                return ((next(iter(groups)), None, None),)
+            return [(idx, rows, None) for idx, rows in sorted(groups.items())]
+        sl_v, sl_p = self._child_sides(node.level + 1)
+        codes = np.zeros(vs.shape[0], dtype=np.int64)
+        for i in range(self.d):
+            v_hi = vs[:, i] >= node.v_corner[i] + sl_v[i]
+            p_hi = ps[:, i] >= node.p_corner[i] + sl_p[i]
+            codes |= ((p_hi.astype(np.int64) << 1)
+                      | v_hi.astype(np.int64)) << (2 * i)
+        order = np.argsort(codes, kind="stable")
+        uniq, starts = np.unique(codes[order], return_index=True)
+        if len(uniq) == 1:
+            return ((int(uniq[0]), None, None),)
+        bounds = list(starts) + [codes.shape[0]]
+        out = []
+        for k, child_idx in enumerate(uniq.tolist()):
+            sel = order[bounds[k]: bounds[k + 1]]
+            out.append((child_idx, sel.tolist(), sel))
+        return out
+
+    def _insert_group(self, rid: int, points: List[DualPoint],
+                      vs: Optional[np.ndarray], ps: Optional[np.ndarray],
+                      pending: List[Tuple[int, NonLeafNode]]) -> None:
+        """Insert a group into the non-leaf subtree at ``rid`` (non-leaf
+        record ids never change, so nothing is returned).  The node is
+        written here for a group without columns, else queued on
+        ``pending`` for one coalesced write."""
+        node = self.cache.get(rid)
+        node.size += len(points)
+        for child_idx, rows, sel in self._partition(node, points, vs, ps):
+            gpoints = points if rows is None else [points[j] for j in rows]
+            child_rid = node.children[child_idx]
+            if child_rid == INVALID_RID:
+                # Case 1: the target leaf does not exist yet.  It gets a
+                # list of its own, never the caller's.
+                cv, cp = self._child_corner(node, child_idx)
+                crid, cleaf = self._build_subtree(
+                    node.level + 1, cv, cp, list(gpoints))
+                node.children[child_idx] = crid
+                node.child_is_leaf[child_idx] = cleaf
+            elif node.child_is_leaf[child_idx]:
+                crid, cleaf = self._leaf_insert_group(
+                    child_rid, self.cache.get(child_rid), gpoints)
+                node.children[child_idx] = crid
+                node.child_is_leaf[child_idx] = cleaf
+            elif sel is None:
+                self._insert_group(child_rid, gpoints, vs, ps, pending)
+            else:
+                self._insert_group(child_rid, gpoints, vs[sel], ps[sel],
+                                   pending)
+        if vs is None:
+            self.cache.update(rid, node)
+        else:
+            pending.append((rid, node))
+
+    def _leaf_insert_group(self, rid: int, leaf: LeafNode,
+                           gpoints: List[DualPoint]) -> Tuple[int, bool]:
+        """Cases 2/3 for a group landing in an existing leaf: admit,
+        promote, spill or split once for the whole group.  Returns the
+        (possibly new) record id and is-leaf flag the parent should point
+        at.  The leaf copies ``gpoints``, never keeps the list itself."""
         ladder_idx = self._ladder_index[self.store.record_size_of(rid)]
-        if leaf.overflow == INVALID_RID:
-            if len(leaf.entries) < self.leaf_capacities[ladder_idx]:
-                # Case 2: room available.
-                leaf.entries.append(point)
-                self.cache.update(rid, leaf)
-                return rid, True
+        if (leaf.overflow == INVALID_RID
+                and len(leaf.entries) + len(gpoints)
+                <= self.leaf_capacities[ladder_idx]):
+            # Case 2: room available.
+            leaf.entries.extend(gpoints)
+            self.cache.update(rid, leaf)
+            return rid, True
         entries = self._leaf_all_entries(leaf)
-        entries.append(point)
+        entries.extend(gpoints)
         if ladder_idx + 1 < len(self.leaf_ladder):
             # Overflow of a non-top leaf: promote it up the size ladder.
             for next_idx in range(ladder_idx + 1, len(self.leaf_ladder)):
@@ -359,6 +467,16 @@ class DualQuadTree:
                     return new_rid, True
         if leaf.level >= self.config.max_depth:
             # Cannot split further: spill into an overflow chain.
+            if self.store.record_size_of(rid) != self.large_bytes:
+                # A group can overshoot every ladder rung at once; the
+                # chain head must live in a top-rung record.
+                fresh = self._new_leaf(leaf.level, leaf.v_corner,
+                                       leaf.p_corner, [])
+                fresh.overflow = leaf.overflow
+                new_rid = self.cache.insert(self.large_bytes, fresh)
+                self.cache.free(rid)
+                self.counters.leaf_promotions += 1
+                rid, leaf = new_rid, fresh
             self._write_leaf_chain(rid, leaf, entries)
             self.counters.overflow_spills += 1
             if self.tracer is not None:
@@ -404,302 +522,14 @@ class DualQuadTree:
             node.child_is_leaf[idx] = child_leaf
         return self.cache.insert(self.codec.nonleaf_record_size, node), False
 
-    def bulk_load(self, points: List[DualPoint]) -> None:
-        """Replace the tree's contents with ``points``, built bottom-up in
-        one recursive pass (used by :meth:`StripesIndex.bulk_load`).
-
-        Ownership note: when ``points`` is already a list the tree takes
-        it over without copying (it may become a leaf's entry list); pass
-        a copy if the caller keeps mutating it.
-        """
+    def bulk_load(self, points: Iterable[DualPoint]) -> None:
+        """Load ``points`` into an empty tree (used by
+        :meth:`StripesIndex.bulk_load`): one :meth:`insert_batch` group,
+        which on an empty tree builds the whole tree bottom-up through
+        :meth:`_build_subtree`."""
         if self.count:
             raise RuntimeError("bulk_load requires an empty tree")
-        if not isinstance(points, list):
-            points = list(points)
-        if not points:
-            return
-        if self._root_is_leaf:
-            # An empty tree's root is one empty leaf record; free it
-            # directly rather than walking a subtree that cannot exist.
-            self.cache.free(self._root_rid)
-        else:
-            self._free_subtree(self._root_rid, self._root_is_leaf)
-        self._root_rid, self._root_is_leaf = self._build_subtree(
-            0, self._origin(), self._origin(), points)
-        self.count = len(points)
-
-    # ------------------------------------------------------------------ #
-    # Batched writes (grouped descent)
-    # ------------------------------------------------------------------ #
-
-    def insert_batch(self, points: List[DualPoint],
-                     vs: Optional[np.ndarray] = None,
-                     ps: Optional[np.ndarray] = None) -> None:
-        """Insert many dual points with one grouped descent.
-
-        Instead of one root-to-leaf pass per point, every non-leaf node on
-        any insertion path is visited once: the whole group's child quads
-        are classified with one vectorized Eq. 1 evaluation, the group is
-        partitioned by child, and each destination leaf applies its
-        admission / promotion / split / overflow rewrite once per group
-        (overfull groups fall back to the bottom-up
-        :meth:`_build_subtree` pass splits already use).  Non-leaf size
-        updates are coalesced into one :meth:`NodeCache.update_many`
-        batch at the end, pinning each touched page once.
-
-        The resulting tree is *query-equivalent* to inserting the points
-        one by one (same entries, same leaf membership); split/promotion
-        event counts may differ because a group crosses a capacity
-        boundary in one step.  ``vs``/``ps`` are optional pre-built
-        ``(n, d)`` float64 coordinate columns (from
-        :meth:`repro.core.dual.DualSpace.to_dual_batch`); they are derived
-        from ``points`` when absent.  Batches below
-        :data:`WRITE_GROUP_MIN` take the sequential loop.
-        """
-        n = len(points)
-        if n == 0:
-            return
-        if n < WRITE_GROUP_MIN:
-            for point in points:
-                self.insert(point)
-            return
-        if vs is None or ps is None:
-            vs = np.array([e.v for e in points], dtype=np.float64)
-            ps = np.array([e.p for e in points], dtype=np.float64)
-        self.counters.inserts += n
-        self.count += n
-        pending: Dict[int, NonLeafNode] = {}
-        if self._root_is_leaf:
-            leaf = self.cache.get(self._root_rid)
-            self._root_rid, self._root_is_leaf = self._leaf_insert_group(
-                self._root_rid, leaf, points)
-        else:
-            self._insert_group(self._root_rid, points, vs, ps, pending)
-        if pending:
-            self.cache.update_many(pending.items())
-
-    def _classify_group(self, node: NonLeafNode, vs: np.ndarray,
-                        ps: np.ndarray):
-        """Vectorized Eq. 1 over a group: yields ``(child_idx, rows)``
-        pairs where ``rows`` selects the group's points landing in that
-        child quad.  Comparisons are the same float64 ``>=`` tests as
-        :meth:`_child_index`, so every point lands exactly where the
-        scalar descent would put it."""
-        sl_v, sl_p = self._child_sides(node.level + 1)
-        codes = np.zeros(vs.shape[0], dtype=np.int64)
-        for i in range(self.d):
-            v_hi = vs[:, i] >= node.v_corner[i] + sl_v[i]
-            p_hi = ps[:, i] >= node.p_corner[i] + sl_p[i]
-            codes |= ((p_hi.astype(np.int64) << 1)
-                      | v_hi.astype(np.int64)) << (2 * i)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        uniq, starts = np.unique(sorted_codes, return_index=True)
-        bounds = list(starts) + [codes.shape[0]]
-        for k, child_idx in enumerate(uniq.tolist()):
-            yield child_idx, order[bounds[k]: bounds[k + 1]]
-
-    def _insert_group(self, rid: int, points: List[DualPoint],
-                      vs: np.ndarray, ps: np.ndarray,
-                      pending: Dict[int, NonLeafNode]) -> None:
-        """Insert a group into the non-leaf subtree at ``rid`` (non-leaf
-        record ids never change, so nothing is returned)."""
-        node = self.cache.get(rid)
-        node.size += len(points)
-        for child_idx, rows in self._classify_group(node, vs, ps):
-            gpoints = [points[j] for j in rows.tolist()]
-            child_rid = node.children[child_idx]
-            if child_rid == INVALID_RID:
-                cv, cp = self._child_corner(node, child_idx)
-                crid, cleaf = self._build_subtree(
-                    node.level + 1, cv, cp, gpoints)
-                node.children[child_idx] = crid
-                node.child_is_leaf[child_idx] = cleaf
-            elif node.child_is_leaf[child_idx]:
-                crid, cleaf = self._leaf_insert_group(
-                    child_rid, self.cache.get(child_rid), gpoints)
-                node.children[child_idx] = crid
-                node.child_is_leaf[child_idx] = cleaf
-            else:
-                self._insert_group(child_rid, gpoints,
-                                   vs[rows], ps[rows], pending)
-        pending[rid] = node
-
-    def _leaf_insert_group(self, rid: int, leaf: LeafNode,
-                           gpoints: List[DualPoint]) -> Tuple[int, bool]:
-        """Group twin of :meth:`_leaf_insert`: admit, promote, spill, or
-        split *once* for the whole group."""
-        ladder_idx = self._ladder_index[self.store.record_size_of(rid)]
-        if (leaf.overflow == INVALID_RID
-                and len(leaf.entries) + len(gpoints)
-                <= self.leaf_capacities[ladder_idx]):
-            leaf.entries.extend(gpoints)
-            self.cache.update(rid, leaf)
-            return rid, True
-        entries = self._leaf_all_entries(leaf)
-        entries.extend(gpoints)
-        if ladder_idx + 1 < len(self.leaf_ladder):
-            for next_idx in range(ladder_idx + 1, len(self.leaf_ladder)):
-                if len(entries) <= self.leaf_capacities[next_idx]:
-                    promoted = self._new_leaf(leaf.level, leaf.v_corner,
-                                              leaf.p_corner, entries)
-                    new_rid = self.cache.insert(
-                        self.leaf_ladder[next_idx], promoted)
-                    self.cache.free(rid)
-                    self.counters.leaf_promotions += 1
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "quadtree.leaf_promotion", level=leaf.level,
-                            to_bytes=self.leaf_ladder[next_idx])
-                    return new_rid, True
-        if leaf.level >= self.config.max_depth:
-            if self.store.record_size_of(rid) != self.large_bytes:
-                # A group can overshoot every ladder rung at once; the
-                # chain head must live in a top-rung record (the scalar
-                # path reaches chains only via top-rung leaves).
-                fresh = self._new_leaf(leaf.level, leaf.v_corner,
-                                       leaf.p_corner, [])
-                fresh.overflow = leaf.overflow
-                new_rid = self.cache.insert(self.large_bytes, fresh)
-                self.cache.free(rid)
-                self.counters.leaf_promotions += 1
-                rid, leaf = new_rid, fresh
-            self._write_leaf_chain(rid, leaf, entries)
-            self.counters.overflow_spills += 1
-            if self.tracer is not None:
-                self.tracer.event("quadtree.overflow_spill",
-                                  level=leaf.level, entries=len(entries))
-            return rid, True
-        new_rid, is_leaf = self._build_subtree(
-            leaf.level, leaf.v_corner, leaf.p_corner, entries)
-        self._free_leaf_chain(rid, leaf)
-        self.counters.leaf_splits += 1
-        if self.tracer is not None:
-            self.tracer.event("quadtree.leaf_split", level=leaf.level,
-                              entries=len(entries))
-        return new_rid, is_leaf
-
-    def delete_batch(self, points: List[DualPoint],
-                     vs: Optional[np.ndarray] = None,
-                     ps: Optional[np.ndarray] = None) -> List[bool]:
-        """Remove many entries with one grouped descent.
-
-        Returns one removed-flag per input point, in input order (the
-        batched twin of :meth:`delete`'s boolean).  Each touched leaf
-        rewrites its entry list / overflow chain once for all its group's
-        removals, and each non-leaf on the way down is re-sized and
-        rewritten once.  Under-filled nodes collapse *after* their whole
-        group is applied (bottom-up), so collapse timing differs from
-        sequential replay, but the surviving entries -- and therefore
-        every query answer -- are identical.
-        """
-        n = len(points)
-        flags = [False] * n
-        if n == 0:
-            return flags
-        if n < WRITE_GROUP_MIN:
-            return [self.delete(point) for point in points]
-        self.counters.deletes += n
-        if vs is None or ps is None:
-            vs = np.array([e.v for e in points], dtype=np.float64)
-            ps = np.array([e.p for e in points], dtype=np.float64)
-        if self._root_is_leaf:
-            leaf = self.cache.get(self._root_rid)
-            self._leaf_delete_group(self._root_rid, leaf, points,
-                                    range(n), flags)
-            return flags
-        new_rid, new_is_leaf, _ = self._delete_group(
-            self._root_rid, points, list(range(n)), vs, ps, flags)
-        self._root_rid = new_rid
-        self._root_is_leaf = new_is_leaf
-        return flags
-
-    def _delete_group(self, rid: int, points: List[DualPoint],
-                      idxs: List[int], vs: np.ndarray, ps: np.ndarray,
-                      flags: List[bool]) -> Tuple[int, bool, int]:
-        """Delete a group from the non-leaf subtree at ``rid``; returns
-        ``(new_rid, new_is_leaf, removed)`` for the parent pointer."""
-        node = self.cache.get(rid)
-        removed = 0
-        for child_idx, rows in self._classify_group(node, vs, ps):
-            child_rid = node.children[child_idx]
-            if child_rid == INVALID_RID:
-                continue
-            rows_list = rows.tolist()
-            gpoints = [points[j] for j in rows_list]
-            gidxs = [idxs[j] for j in rows_list]
-            if node.child_is_leaf[child_idx]:
-                removed += self._leaf_delete_group(
-                    child_rid, self.cache.get(child_rid), gpoints, gidxs,
-                    flags)
-            else:
-                crid, cleaf, r = self._delete_group(
-                    child_rid, gpoints, gidxs, vs[rows], ps[rows], flags)
-                node.children[child_idx] = crid
-                node.child_is_leaf[child_idx] = cleaf
-                removed += r
-        if not removed:
-            return rid, False, 0
-        node.size -= removed
-        self.cache.update(rid, node)
-        if node.size <= self.collapse_capacity:
-            entries = self._subtree_entries(rid, is_leaf=False)
-            self._free_subtree(rid, is_leaf=False)
-            self.counters.collapses += 1
-            if self.tracer is not None:
-                self.tracer.event("quadtree.collapse", level=node.level,
-                                  entries=len(entries))
-            return (*self._build_subtree(node.level, node.v_corner,
-                                         node.p_corner, entries), removed)
-        return rid, False, removed
-
-    def _leaf_delete_group(self, rid: int, leaf: LeafNode,
-                           gpoints: List[DualPoint], gidxs,
-                           flags: List[bool]) -> int:
-        """Remove every matching group point from one leaf, rewriting the
-        entry list / overflow chain once."""
-        entries = self._leaf_all_entries(leaf)
-        removed = 0
-        for j, point in zip(gidxs, gpoints):
-            pos = self._find_entry(entries, point)
-            if pos is not None:
-                entries.pop(pos)
-                flags[j] = True
-                removed += 1
-        if not removed:
-            return 0
-        if leaf.overflow != INVALID_RID:
-            self._write_leaf_chain(rid, leaf, entries)
-        else:
-            leaf.entries = entries
-            self.cache.update(rid, leaf)
-        self.count -= removed
-        return removed
-
-    def update_batch(self, pairs) -> int:
-        """Apply many ``(old, new)`` dual-point updates; ``old`` may be
-        ``None`` (plain insert).  Returns how many olds were removed.
-
-        Deletes run before inserts, which matches sequential
-        delete-then-insert replay only while each oid appears in at most
-        one pair; batches with repeated oids fall back to the sequential
-        path to preserve per-pair ordering.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            return 0
-        oids = [new.oid for _, new in pairs]
-        if len(set(oids)) != len(oids):
-            removed = 0
-            for old, new in pairs:
-                if old is not None and self.delete(old):
-                    removed += 1
-                self.insert(new)
-            return removed
-        olds = [old for old, _ in pairs if old is not None]
-        flags = self.delete_batch(olds)
-        self.insert_batch([new for _, new in pairs])
-        return sum(flags)
+        self.insert_batch(list(points))
 
     # ------------------------------------------------------------------ #
     # Overflow chains (maximum-depth leaves only)
@@ -772,88 +602,141 @@ class DualQuadTree:
     # ------------------------------------------------------------------ #
 
     def delete(self, point: DualPoint) -> bool:
-        """Remove the entry matching ``point`` (oid and coordinates).
+        """Remove the entry matching ``point`` (oid and coordinates): a
+        group of one (:meth:`delete_batch`).
 
-        Returns False (leaving the tree unchanged, modulo legal under-fill
-        collapses) when no such entry exists -- the caller then treats the
-        update as an insert of a new object (Section 4.4).
+        Returns False, leaving the tree unchanged, when no such entry
+        exists -- the caller then treats the update as an insert of a
+        new object (Section 4.4).
         """
-        self.counters.deletes += 1
+        return self.delete_batch([point])[0]
+
+    def delete_batch(self, points: List[DualPoint],
+                     vs: Optional[np.ndarray] = None,
+                     ps: Optional[np.ndarray] = None) -> List[bool]:
+        """Remove a group of entries with one grouped descent.
+
+        Returns one removed-flag per input point, in input order.  The
+        group is partitioned by Eq. 1 as in :meth:`insert_batch`; each
+        touched leaf rewrites its entry list / overflow chain once for
+        all its group's removals, and each non-leaf that lost entries is
+        re-sized and written once, after its subtree.  A descent that
+        removes nothing writes nothing.  Under-fill is checked on the way
+        back up, once the whole group is applied: the topmost under-filled
+        non-leaf of each path is collapsed into a single leaf (or, with a
+        larger ``collapse_capacity``, a smaller subtree).  ``vs``/``ps``
+        are as in :meth:`insert_batch`.
+        """
+        n = len(points)
+        flags = [False] * n
+        if n == 0:
+            return flags
+        vs, ps = self._group_columns(points, vs, ps)
+        self.counters.deletes += n
         if self._root_is_leaf:
             leaf = self.cache.get(self._root_rid)
-            return self._leaf_delete(self._root_rid, leaf, point)
-        decremented: List[int] = []
-        parent_rid = INVALID_RID
-        parent_idx = -1
-        rid = self._root_rid
-        while True:
-            node = self.cache.get(rid)
-            if node.size - 1 <= self.collapse_capacity:
-                # Case 2: under-filled non-leaf -- collapse to a leaf.
-                return self._collapse_and_delete(
-                    rid, node, parent_rid, parent_idx, point, decremented)
-            idx = self._child_index(node, point)
-            child_rid = node.children[idx]
-            if child_rid == INVALID_RID:
-                self._rollback(decremented)
-                return False
-            node.size -= 1
-            self.cache.update(rid, node)
-            decremented.append(rid)
-            if node.child_is_leaf[idx]:
-                leaf = self.cache.get(child_rid)
-                if self._leaf_delete(child_rid, leaf, point):
-                    return True
-                self._rollback(decremented)
-                return False
-            parent_rid, parent_idx = rid, idx
-            rid = child_rid
+            self._leaf_delete_group(self._root_rid, leaf, points,
+                                    range(n), flags)
+            return flags
+        pending: List[Tuple[int, NonLeafNode]] = []
+        _, underfilled = self._delete_group(
+            self._root_rid, points, range(n), vs, ps, flags, pending)
+        if underfilled is not None:
+            self._root_rid, self._root_is_leaf = self._collapse(
+                self._root_rid, underfilled)
+        if pending:
+            self.cache.update_many(pending)
+        return flags
 
-    def _leaf_delete(self, rid: int, leaf: LeafNode,
-                     point: DualPoint) -> bool:
+    def _delete_group(self, rid: int, points: List[DualPoint], idxs,
+                      vs: Optional[np.ndarray], ps: Optional[np.ndarray],
+                      flags: List[bool],
+                      pending: List[Tuple[int, NonLeafNode]]
+                      ) -> Tuple[int, Optional[NonLeafNode]]:
+        """Delete a group from the non-leaf subtree at ``rid``; ``idxs``
+        maps group positions to ``flags`` positions.
+
+        Returns ``(removed, underfilled)``.  ``underfilled`` is the node
+        itself when it is now at or under ``collapse_capacity``: it is
+        neither collapsed nor written here, because an ancestor may be
+        under-filled too and the caller collapses only the topmost one.
+        Otherwise the node, if it lost entries, collapses its
+        under-filled children and is written as in :meth:`_insert_group`.
+        """
+        node = self.cache.get(rid)
+        removed = 0
+        underfilled_children = []
+        for child_idx, rows, sel in self._partition(node, points, vs, ps):
+            child_rid = node.children[child_idx]
+            if child_rid == INVALID_RID:
+                continue
+            if rows is None:
+                gpoints, gidxs = points, idxs
+            else:
+                gpoints = [points[j] for j in rows]
+                gidxs = [idxs[j] for j in rows]
+            if node.child_is_leaf[child_idx]:
+                removed += self._leaf_delete_group(
+                    child_rid, self.cache.get(child_rid), gpoints, gidxs,
+                    flags)
+                continue
+            r, child = self._delete_group(
+                child_rid, gpoints, gidxs,
+                vs if sel is None else vs[sel],
+                ps if sel is None else ps[sel], flags, pending)
+            removed += r
+            if child is not None:
+                underfilled_children.append((child_idx, child))
+        if not removed:
+            return 0, None
+        node.size -= removed
+        if node.size <= self.collapse_capacity:
+            return removed, node
+        for child_idx, child in underfilled_children:
+            node.children[child_idx], node.child_is_leaf[child_idx] = \
+                self._collapse(node.children[child_idx], child)
+        if vs is None:
+            self.cache.update(rid, node)
+        else:
+            pending.append((rid, node))
+        return removed, None
+
+    def _collapse(self, rid: int, node: NonLeafNode) -> Tuple[int, bool]:
+        """Case 2 of Section 4.4: rebuild the under-filled non-leaf
+        subtree at ``rid`` from its entries.  With the default threshold
+        (one leaf's capacity) the rebuild is a single leaf.  Returns the
+        new record id and is-leaf flag for the parent pointer."""
+        entries = self._subtree_entries(rid, is_leaf=False)
+        self._free_subtree(rid, is_leaf=False)
+        self.counters.collapses += 1
+        if self.tracer is not None:
+            self.tracer.event("quadtree.collapse", level=node.level,
+                              entries=len(entries))
+        return self._build_subtree(node.level, node.v_corner, node.p_corner,
+                                   entries)
+
+    def _leaf_delete_group(self, rid: int, leaf: LeafNode,
+                           gpoints: List[DualPoint], gidxs,
+                           flags: List[bool]) -> int:
+        """Remove every matching group point from one leaf, rewriting the
+        entry list / overflow chain once (not at all if none matched)."""
         entries = self._leaf_all_entries(leaf)
-        pos = self._find_entry(entries, point)
-        if pos is None:
-            return False
-        entries.pop(pos)
+        removed = 0
+        for j, point in zip(gidxs, gpoints):
+            pos = self._find_entry(entries, point)
+            if pos is not None:
+                entries.pop(pos)
+                flags[j] = True
+                removed += 1
+        if not removed:
+            return 0
         if leaf.overflow != INVALID_RID:
             self._write_leaf_chain(rid, leaf, entries)
         else:
             leaf.entries = entries
             self.cache.update(rid, leaf)
-        self.count -= 1
-        return True
-
-    def _collapse_and_delete(self, rid: int, node: NonLeafNode,
-                             parent_rid: int, parent_idx: int,
-                             point: DualPoint,
-                             decremented: List[int]) -> bool:
-        entries = self._subtree_entries(rid, is_leaf=False)
-        pos = self._find_entry(entries, point)
-        if pos is None:
-            self._rollback(decremented)
-            return False
-        entries.pop(pos)
-        self._free_subtree(rid, is_leaf=False)
-        # With the default threshold (one leaf's capacity) the rebuild is
-        # always a single leaf; a larger configured threshold can rebuild
-        # a (smaller) subtree instead.
-        self.counters.collapses += 1
-        if self.tracer is not None:
-            self.tracer.event("quadtree.collapse", level=node.level,
-                              entries=len(entries))
-        new_rid, new_is_leaf = self._build_subtree(
-            node.level, node.v_corner, node.p_corner, entries)
-        if parent_rid == INVALID_RID:
-            self._root_rid = new_rid
-            self._root_is_leaf = new_is_leaf
-        else:
-            parent = self.cache.get(parent_rid)
-            parent.children[parent_idx] = new_rid
-            parent.child_is_leaf[parent_idx] = new_is_leaf
-            self.cache.update(parent_rid, parent)
-        self.count -= 1
-        return True
+        self.count -= removed
+        return removed
 
     @staticmethod
     def _find_entry(entries: List[DualPoint],
@@ -869,12 +752,6 @@ class DualQuadTree:
             if entry.oid == point.oid:
                 return i
         return None
-
-    def _rollback(self, decremented: List[int]) -> None:
-        for rid in decremented:
-            node = self.cache.get(rid)
-            node.size += 1
-            self.cache.update(rid, node)
 
     # ------------------------------------------------------------------ #
     # Search (Section 4.6.4)

@@ -290,9 +290,9 @@ class StripesIndex:
         batch-transformed (:meth:`DualSpace.to_dual_batch`) and fed to its
         sub-index's grouped descent (:meth:`DualQuadTree.insert_batch`),
         which visits every touched node once per batch instead of once
-        per point.  Groups below
-        :data:`repro.core.quadtree.WRITE_GROUP_MIN` take the per-point
-        path.
+        per point.  A group below
+        :data:`repro.core.quadtree.WRITE_GROUP_MIN` is transformed point
+        by point (:meth:`DualSpace.to_dual`) instead.
         """
         d = self.config.d
         by_window: Dict[int, List[MovingObjectState]] = {}
@@ -307,14 +307,7 @@ class StripesIndex:
         for window in sorted(by_window):
             tree = self._tree_for_window(window, create=True)
             group = by_window[window]
-            if len(group) >= WRITE_GROUP_MIN:
-                batch = tree.space.to_dual_batch(group)
-                tree.insert_batch(batch.points(), batch.vs, batch.ps)
-            else:
-                to_dual = tree.space.to_dual
-                insert = tree.insert
-                for obj in group:
-                    insert(to_dual(obj))
+            tree.insert_batch(*self._to_dual_group(tree, group))
             inserted += len(group)
         if hist is not None and inserted:
             hist.observe(perf_counter() - start)
@@ -333,10 +326,11 @@ class StripesIndex:
         """Remove many entries; returns one removed-flag per input, in
         input order (the batched twin of :meth:`delete`).
 
-        Objects are grouped by lifetime window; live windows run the
-        grouped descent (:meth:`DualQuadTree.delete_batch`), expired
-        windows flag ``False`` without touching storage -- exactly the
-        sequential outcome.
+        Objects are grouped by lifetime window and transformed as in
+        :meth:`insert_batch`; live windows run the grouped descent
+        (:meth:`DualQuadTree.delete_batch`), expired windows flag
+        ``False`` without touching storage -- exactly the sequential
+        outcome.
         """
         objs = list(objs)
         flags = [False] * len(objs)
@@ -349,16 +343,23 @@ class StripesIndex:
                 continue
             idxs = by_window[window]
             group = [objs[j] for j in idxs]
-            if len(group) >= WRITE_GROUP_MIN:
-                batch = tree.space.to_dual_batch(group)
-                gflags = tree.delete_batch(batch.points(),
-                                           batch.vs, batch.ps)
-            else:
-                to_dual = tree.space.to_dual
-                gflags = [tree.delete(to_dual(obj)) for obj in group]
+            gflags = tree.delete_batch(*self._to_dual_group(tree, group))
             for j, flag in zip(idxs, gflags):
                 flags[j] = flag
         return flags
+
+    @staticmethod
+    def _to_dual_group(tree: DualQuadTree,
+                       group: List[MovingObjectState]) -> Tuple:
+        """``(points, vs, ps)`` arguments of the grouped descent for one
+        window's group: batch-transformed with coordinate columns from
+        :data:`repro.core.quadtree.WRITE_GROUP_MIN` states on, point by
+        point without columns below it."""
+        if len(group) < WRITE_GROUP_MIN:
+            to_dual = tree.space.to_dual
+            return [to_dual(obj) for obj in group], None, None
+        batch = tree.space.to_dual_batch(group)
+        return batch.points(), batch.vs, batch.ps
 
     def update(self, old: Optional[MovingObjectState],
                new: MovingObjectState) -> bool:
@@ -419,21 +420,9 @@ class StripesIndex:
             Optional[MovingObjectState], MovingObjectState, int]]) -> int:
         """Apply one conflict-free run of ``(old, new, delete_window)``
         triples (each object id at most once), window-grouped; returns
-        entries removed."""
-        if len(run) < WRITE_GROUP_MIN:
-            removed = 0
-            for old, new, dw in run:
-                if old is not None and dw != self._window(new.t):
-                    # A netted chain spanning windows: sequential replay
-                    # deletes the first old under the chain's *first*
-                    # window rotation, before later links rotate it out.
-                    self.rotate_to(dw)
-                    if self.delete(old):
-                        removed += 1
-                    old = None
-                if self.update(old, new):
-                    removed += 1
-            return removed
+        entries removed.  A netted chain spanning windows has its old
+        entry deleted under the chain's *first* window rotation, before
+        later links rotate it out, as sequential replay does."""
         deletes: Dict[int, List] = {}
         inserts: Dict[int, List] = {}
         for old, new, dw in run:
@@ -589,39 +578,33 @@ class StripesIndex:
     # ------------------------------------------------------------------ #
 
     def bulk_load(self, states: Iterable[MovingObjectState]) -> int:
-        """Build sub-indexes bottom-up from a batch of states.
+        """Load a batch of states into an empty index; returns the number
+        of entries loaded.
 
-        Orders of magnitude faster than repeated :meth:`insert` for large
-        initial loads: states are transformed, grouped by lifetime window,
-        and each window's quadtree is materialised in one recursive pass
-        (the same machinery a leaf split uses).  The index must be empty.
-        Returns the number of entries loaded.
+        Checks that the index is empty, that every state has the index's
+        dimensionality and that the states span at most two lifetime
+        windows (older entries would be expired on arrival), then runs
+        :meth:`insert_batch`: on an empty sub-index the grouped descent
+        builds the whole quadtree bottom-up in one recursive pass (the
+        same machinery a leaf split uses), orders of magnitude faster
+        than repeated :meth:`insert` for large initial loads.
         """
         if self._trees:
             raise RuntimeError("bulk_load requires an empty index")
-        by_window: Dict[int, List[MovingObjectState]] = {}
+        states = list(states)
+        windows = set()
         for state in states:
             if state.d != self.config.d:
                 raise ValueError(
                     f"object is {state.d}-d but the index is "
                     f"{self.config.d}-d")
-            by_window.setdefault(self._window(state.t), []).append(state)
-        if not by_window:
-            return 0
-        newest = max(by_window)
-        loaded = 0
-        for window in sorted(by_window):
-            if window < newest - 1:
-                raise ValueError(
-                    f"bulk_load batch spans more than two lifetime "
-                    f"windows ({sorted(by_window)}); entries in window "
-                    f"{window} would be expired on arrival")
-            tree = self._tree_for_window(window, create=True)
-            points = [tree.space.to_dual(state)
-                      for state in by_window[window]]
-            tree.bulk_load(points)
-            loaded += len(points)
-        return loaded
+            windows.add(self._window(state.t))
+        if windows and min(windows) < max(windows) - 1:
+            raise ValueError(
+                f"bulk_load batch spans more than two lifetime windows "
+                f"({sorted(windows)}); entries in window {min(windows)} "
+                f"would be expired on arrival")
+        return self.insert_batch(states)
 
     # ------------------------------------------------------------------ #
     # Observability

@@ -49,7 +49,6 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.quadtree import WRITE_GROUP_MIN
 from repro.core.stripes import StripesConfig, StripesIndex, _net_update_runs
 from repro.query.types import MovingObjectState, PredictiveQuery
 from repro.service.engine import CompiledBatch, ShardMirror, evaluate_batch
@@ -445,12 +444,6 @@ class ShardedStripes:
         removed-count undercount comes from."""
         if not pairs:
             return 0
-        if len(pairs) < WRITE_GROUP_MIN:
-            removed = 0
-            for old, new, _ in pairs:
-                if self.update(old, new):
-                    removed += 1
-            return removed
         self._advance_windows(max(new.t for _, new, _ in pairs))
         deletes: Dict[int, List[MovingObjectState]] = {}
         inserts: Dict[int, List[MovingObjectState]] = {}

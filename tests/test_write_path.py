@@ -1,14 +1,16 @@
 """Equivalence tests for the vectorized write path.
 
-The PR 4 write-path work (batch dual transform, grouped quadtree
+The write-path work (batch dual transform, grouped quadtree
 inserts/deletes, run-netted batched updates, write-coalescing storage) is
 only admissible because every batched operation promises *query
 equivalence* with sequential replay: the same entries, the same leaf
 membership, the same answers to every query -- split/promotion event
-counts may differ, results may not.  This suite drives seeded-random and
-adversarial workloads (leaf-split boundaries, max-depth overflow chains,
-float32 rounding edges, cross-window batches, chained same-object
-updates) through both paths and compares exactly.
+counts may differ, results may not.  The quadtree has one write descent,
+so sequential replay means one-point writes, each a group of one.  This
+suite drives seeded-random and adversarial workloads (leaf-split
+boundaries, max-depth overflow chains, float32 rounding edges,
+cross-window batches, chained same-object updates) through large groups
+and through groups of one and compares exactly.
 """
 
 from __future__ import annotations
@@ -377,6 +379,66 @@ class TestBulkLoadMicroFix:
         # accounts for every page in use.
         assert tree.store.pages_in_use() >= pages_before
         assert tree.count == 50
+
+    def test_bulk_load_does_not_keep_the_callers_list(self):
+        tree = make_tree()
+        points = random_dual_points(random.Random(29), 20, make_space())
+        tree.bulk_load(points)
+        points.clear()
+        assert tree.count == 20
+        assert len(tree.all_entries()) == 20
+        assert tree.check() == []
+
+
+def count_record_writes(store, monkeypatch):
+    """Count :class:`RecordStore` ``write``/``write_many`` calls (one per
+    call, whatever the number of records it carries)."""
+    calls = []
+    write, write_many = store.write, store.write_many
+
+    def counted_write(rid, payload):
+        calls.append(rid)
+        return write(rid, payload)
+
+    def counted_write_many(items):
+        calls.append(None)
+        return write_many(items)
+
+    monkeypatch.setattr(store, "write", counted_write)
+    monkeypatch.setattr(store, "write_many", counted_write_many)
+    return calls
+
+
+class TestGroupedDelete:
+    def test_absent_point_writes_nothing(self, monkeypatch):
+        space = make_space()
+        rng = random.Random(31)
+        tree = make_tree()
+        tree.insert_batch(random_dual_points(rng, 5000, space))
+        assert not tree._root_is_leaf
+        absent = random_dual_points(rng, 1, space, oid_base=10_000)[0]
+        writes = count_record_writes(tree.store, monkeypatch)
+        assert tree.delete(absent) is False
+        assert tree.delete_batch([absent]) == [False]
+        assert writes == []
+        assert tree.count == 5000
+        assert tree.check() == []
+
+    @pytest.mark.parametrize("n_deleted", [1, 4])
+    def test_collapses_only_the_topmost_underfilled_node(self, n_deleted):
+        """Clustered points build a chain of single-child non-leaves that
+        all fall under the collapse threshold at once: one collapse, at
+        the root, rebuilds the tree as a single leaf."""
+        tree = make_tree(QuadTreeConfig(leaf_size_ladder=(128,)))
+        n = tree.collapse_capacity + n_deleted
+        points = [DualPoint(i, (1.0 + i * 1e-6, 1.0), (10.0, 10.0 + i * 1e-6))
+                  for i in range(n)]
+        tree.insert_batch(points)
+        assert tree.stats().nonleaf_nodes > 1
+        assert tree.delete_batch(points[:n_deleted]) == [True] * n_deleted
+        assert tree.counters.collapses == 1
+        assert tree._root_is_leaf
+        assert tree.check() == []
 
 
 # --------------------------------------------------------------------- #
