@@ -45,7 +45,6 @@ from repro.core.nodes import (
     Node,
     NodeCodec,
     NonLeafNode,
-    points_from_columns,
 )
 from repro.core.query_region import QueryRegion2D, RelPos
 from repro.obs.tracer import DescentTrace
@@ -757,22 +756,6 @@ class DualQuadTree:
     # Search (Section 4.6.4)
     # ------------------------------------------------------------------ #
 
-    def search(self, regions: Tuple[QueryRegion2D, ...],
-               trace: Optional[DescentTrace] = None) -> List[DualPoint]:
-        """Entries inside the query body given one region per dual plane.
-
-        Per-plane region membership is exact per dimension but -- for
-        window/moving queries in d >= 2 -- only *necessary* for a true
-        match (each dimension may satisfy the query at a different time).
-        Callers needing exact answers refine the returned candidates with
-        the native-space predicate; :class:`repro.core.stripes.StripesIndex`
-        does this by default.
-
-        The answer of :meth:`search_columns` turned into points; see
-        there for ``trace``.
-        """
-        return points_from_columns(*self.search_columns(regions, trace))
-
     def search_columns(self, regions: Tuple[QueryRegion2D, ...],
                        trace: Optional[DescentTrace] = None
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -924,16 +907,14 @@ class DualQuadTree:
         invalid = INVALID_RID
         cache = self.cache
         cache_get = cache.get
-        # The child lookup below is cache.get unrolled into the loop:
-        # generation-checked object-cache probe, page touch for
-        # identical IO accounting, decode only on miss.
-        objects = cache._objects
-        gens = cache.store._record_gen
+        # The child lookup below is cache.get's hit path unrolled into
+        # the loop: resident frame -> its decoded record, counted as the
+        # logical read and LRU move a fetch makes.  Anything else (page
+        # not resident, record not decoded) goes through cache.get.
         pool = cache.store.pool
-        frames = pool._frames
-        frames_move = frames.move_to_end
+        frames_get = pool._frames.get
+        frames_move = pool._frames.move_to_end
         iostats = pool.stats
-        pool_fetch = pool.fetch
         report_subtree = self._report_subtree
         search_nonleaf = self._search_nonleaf
         depth1 = depth + 1
@@ -947,19 +928,14 @@ class DualQuadTree:
                     report_subtree(child_rid, child_is_leaf[idx], segments,
                                    trace)
                     continue
-                entry = objects.get(child_rid)
-                if entry is not None and \
-                        entry[0] == gens.get(child_rid, 0):
-                    page_id = child_rid // MAX_SLOTS_PER_PAGE
-                    if page_id in frames:
-                        # pool.touch unrolled: logical read counted,
-                        # frame moved to MRU.
-                        iostats.logical_reads += 1
-                        frames_move(page_id)
-                    else:
-                        pool_fetch(page_id).unpin()
+                page_id = child_rid // MAX_SLOTS_PER_PAGE
+                page = frames_get(page_id)
+                child = (page.decoded.get(child_rid) if page is not None
+                         else None)
+                if child is not None:
+                    iostats.logical_reads += 1
+                    frames_move(page_id)
                     cache.hits += 1
-                    child = entry[1]
                 else:
                     child = cache_get(child_rid)
                 if not child_is_leaf[idx]:
@@ -1176,19 +1152,16 @@ class DualQuadTree:
         self.cache.free(rid)
 
     def destroy(self) -> None:
-        """Free every record of this tree (used at index rotation) and
-        detach its node cache from the shared buffer pool.
+        """Free every record of this tree (used at index rotation).
 
-        The detach matters for long-running services: the pool outlives
-        each rotating sub-index, and an undetached cache would stay on the
-        pool's eviction-listener list -- leaking every decoded node object
-        the retired tree ever cached and paying a dead callback per
-        eviction forever after.
+        Each freed record's decoded node leaves its frame with it, and
+        emptied pages leave the pool, so the shared buffer pool -- which
+        outlives every rotating sub-index -- keeps nothing of the retired
+        tree.
         """
         self._free_subtree(self._root_rid, self._root_is_leaf)
         self._root_rid = INVALID_RID
         self.count = 0
-        self.cache.detach()
 
     def stats(self) -> QuadTreeStats:
         """Walk the tree and collect structural statistics."""

@@ -213,10 +213,10 @@ class StripesIndex:
 
         Retirement must not leak storage across rotations: destroying the
         retired tree frees every one of its records (returning emptied
-        pages to the pagefile's free list) and detaches its node cache
-        from the shared buffer pool.  The reclaimed page count is verified
-        via :meth:`pages_in_use` before/after and accumulated in
-        :attr:`pages_reclaimed`.
+        pages to the pagefile's free list), and each freed record's
+        decoded node leaves its buffer-pool frame with it.  The reclaimed
+        page count is verified via :meth:`pages_in_use` before/after and
+        accumulated in :attr:`pages_reclaimed`.
         """
         for window in [w for w in self._trees if w < newest - 1]:
             tree = self._trees.pop(window)

@@ -20,8 +20,9 @@ Each shard carries
 * a reader/writer lock -- writes (insert/delete/update/rotation) take it
   exclusively, queries take it shared;
 * a *tree mutex* serializing tree-descent reads, because a descent
-  mutates shared state (buffer-pool LRU order and pin counts, node-cache
-  hit counters) even though it is logically a read.
+  mutates shared state (buffer-pool LRU order and pin counts, the
+  decoded records on frames, node-cache hit counters) even though it is
+  logically a read.
 
 Queries therefore run concurrently across shards and -- on the columnar
 fast path, which touches no tree state -- concurrently *within* a shard.

@@ -11,10 +11,11 @@ Index code interacts with the pool through short pin/unpin windows::
     with pool.pinned(page_id) as page:
         ...read or mutate page.data...
 
-Eviction observers (registered with :meth:`BufferPool.add_eviction_listener`)
-let higher layers (the node stores keep deserialized node objects) drop
-cached objects when their backing page leaves memory, so that re-accessing
-the node is correctly charged a physical read.
+A frame is the only in-memory home of its page: the node cache keeps
+decoded records on the :class:`Page` itself (``Page.decoded``), so an
+evicted or freed page takes its decoded nodes with it and re-reading one
+is charged a physical read like any other non-resident access.  The pool
+needs no observer for that.
 
 :meth:`BufferPool.attach_metrics` exports every :class:`IOStats` counter
 (plus residency/hit-rate gauges) into a
@@ -63,7 +64,6 @@ class BufferPool:
         self.stats = stats if stats is not None else IOStats()
         # OrderedDict in LRU order: oldest first.
         self._frames: "OrderedDict[int, Page]" = OrderedDict()
-        self._eviction_listeners: list[Callable[[int], None]] = []
         # Optional write guard, invoked with the page id before every
         # dirty write-back.  The checkpoint layer installs one that
         # shadows the page's pre-checkpoint on-disk image into an undo
@@ -84,21 +84,6 @@ class BufferPool:
     def is_resident(self, page_id: int) -> bool:
         """True if ``page_id`` is currently in the pool (no LRU touch)."""
         return page_id in self._frames
-
-    def add_eviction_listener(self, listener: Callable[[int], None]) -> None:
-        """Register a callback invoked with the page id of every eviction."""
-        self._eviction_listeners.append(listener)
-
-    def remove_eviction_listener(self, listener: Callable[[int], None]) \
-            -> None:
-        """Unregister a previously added eviction listener (no-op if
-        absent).  Listener owners that die before the pool (e.g. a retired
-        sub-index's node cache) must call this, or the pool keeps them --
-        and everything they reference -- alive and keeps invoking them."""
-        try:
-            self._eviction_listeners.remove(listener)
-        except ValueError:
-            pass
 
     def set_write_guard(self,
                         guard: Callable[[int], None] | None) -> None:
@@ -179,23 +164,6 @@ class BufferPool:
         page.pin()
         return page
 
-    def touch(self, page_id: int) -> bool:
-        """Account for a logical read of a resident page without pinning.
-
-        Equivalent to ``fetch(page_id).unpin()`` when the page is in the
-        pool: the logical read is counted and the frame moves to the MRU
-        end.  Returns ``False`` -- counting nothing -- when the page is
-        not resident; the caller must then fall back to :meth:`fetch` so
-        the physical read is charged and the page brought in.  Exists for
-        read paths that need the page's *bytes kept hot and accounted for*
-        but not the bytes themselves (the decoded-node cache).
-        """
-        if page_id in self._frames:
-            self.stats.logical_reads += 1
-            self._frames.move_to_end(page_id)
-            return True
-        return False
-
     def new_page(self) -> Page:
         """Allocate a fresh page in the file and return it pinned and dirty.
 
@@ -229,9 +197,11 @@ class BufferPool:
     def free_page(self, page_id: int) -> None:
         """Drop the page from the pool (without write-back) and free it in
         the file.  The page must not be pinned."""
-        page = self._frames.pop(page_id, None)
-        if page is not None and page.is_pinned:
-            raise RuntimeError(f"cannot free pinned page {page_id}")
+        page = self._frames.get(page_id)
+        if page is not None:
+            if page.is_pinned:
+                raise RuntimeError(f"cannot free pinned page {page_id}")
+            del self._frames[page_id]
         self.pagefile.free(page_id)
         self.stats.pages_freed += 1
 
@@ -308,8 +278,6 @@ class BufferPool:
             page.dirty = False
         del self._frames[page_id]
         self.stats.evictions += 1
-        for listener in self._eviction_listeners:
-            listener(page_id)
 
     def __repr__(self) -> str:
         return (

@@ -9,33 +9,35 @@ of these through per-page size classes:
 * every page is dedicated to a single record size;
 * a small header carries the record size, slot count, and an occupancy
   bitmap;
-* record ids encode ``(page_id, slot)`` so the object cache can invalidate
-  by page on buffer pool eviction.
+* record ids encode ``(page_id, slot)``, so a record's frame is found
+  from its id alone.
 
-:class:`NodeCache` adds a deserialized-object cache with *write-through*
-semantics: every read still performs a (logical) page access through the
-buffer pool -- so IO accounting is identical to a system that parses node
-bytes on every access -- but deserialization is skipped while the page
-stays resident.  Mutations serialize immediately into the page.  What a
-decode builds is up to the caller's codec: the STRIPES codec decodes leaf
-records into numpy columns, not per-entry objects.
+:class:`NodeCache` keeps decoded records on the buffer-pool frame that
+holds their bytes (``Page.decoded``), with *write-through* semantics:
+every read still performs a (logical) page access through the buffer
+pool -- so IO accounting is identical to a system that parses node bytes
+on every access -- but deserialization is skipped while the page stays
+resident.  Evicting or freeing the frame drops its decoded records with
+it, and every :class:`RecordStore` call that changes a record's bytes
+drops that record's decoded form; no second map has to be kept in step
+and no staleness check runs on a read.  Mutations serialize immediately
+into the page.  What a decode builds is up to the caller's codec: the
+STRIPES codec decodes leaf records into numpy columns, not per-entry
+objects.
 
 Concurrency invariant (single writer per shard)
 -----------------------------------------------
-:class:`RecordStore` relies on the same discipline as the buffer pool it
-wraps: exactly one thread mutates a shard's store at a time (the shard
-writer lock in ``repro.service.sharding``), and tree-descent reads -- which
-touch the pool's LRU state -- are serialized by the shard's tree mutex.
-:class:`NodeCache` additionally holds its own ``threading.RLock`` around
-its object-map mutation, because pool eviction callbacks and cache lookups
-can interleave re-entrantly; the lock makes the cache safe to *read* from
-the descent path while the single writer mutates it.
+:class:`RecordStore` and :class:`NodeCache` rely on the same discipline
+as the buffer pool they wrap, and hold no lock of their own: exactly one
+thread mutates a shard's store at a time (the shard writer lock in
+``repro.service.sharding``), and tree-descent reads -- which touch the
+pool's LRU state and the frames' decoded records -- are serialized by
+the shard's tree mutex.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 from typing import Callable, Dict, Generic, Set, TypeVar
 
 from repro.storage.buffer_pool import BufferPool
@@ -117,13 +119,6 @@ class RecordStore:
         self._pages_with_space_set: Dict[int, Set[int]] = {}
         # page_id -> (size class, occupied-slot count); in-memory mirror
         self._page_meta: Dict[int, tuple[SizeClass, int]] = {}
-        # rid -> write generation, bumped on every allocate/write/free so a
-        # decoded-object cache can detect any byte-level change to the
-        # record -- including slot reuse after free -- without comparing
-        # payloads.  Monotonic and never reset for a rid: a generation
-        # captured before a free can never collide with one captured after
-        # the slot is reallocated.
-        self._record_gen: Dict[int, int] = {}
 
     def size_class(self, record_size: int) -> SizeClass:
         """Return (and memoize) the layout for ``record_size``."""
@@ -152,6 +147,8 @@ class RecordStore:
         try:
             slot = self._claim_free_slot(page, cls)
             page.write(cls.record_offset(slot), payload)
+            rid = make_rid(page_id, slot)
+            page.decoded.pop(rid, None)
         finally:
             page.unpin()
         _, occupied = self._page_meta[page_id]
@@ -159,8 +156,6 @@ class RecordStore:
         self._page_meta[page_id] = (cls, occupied)
         if occupied >= cls.num_slots:
             self._drop_space(record_size, page_id)
-        rid = make_rid(page_id, slot)
-        self._bump_generation(rid)
         return rid
 
     def read(self, rid: int) -> bytes:
@@ -181,15 +176,15 @@ class RecordStore:
                     f"{cls.record_size}"
                 )
             page.write(cls.record_offset(rid_slot(rid)), payload)
+            page.decoded.pop(rid, None)
         finally:
             page.unpin()
-        self._bump_generation(rid)
 
     def write_many(self, items) -> None:
         """Overwrite many records, pinning each touched page once.
 
-        ``items`` is an iterable of ``(rid, payload)``.  Byte- and
-        generation-equivalent to calling :meth:`write` per item, but the
+        ``items`` is an iterable of ``(rid, payload)``.  Equivalent to
+        calling :meth:`write` per item, but the
         buffer pool sees one fetch (one logical read, at most one physical
         read) per *page* per batch instead of per record -- the write-side
         twin of the sibling clustering the allocator maintains.  Payloads
@@ -216,10 +211,9 @@ class RecordStore:
             try:
                 for rid, payload in recs:
                     page.write(cls.record_offset(rid_slot(rid)), payload)
+                    page.decoded.pop(rid, None)
             finally:
                 page.unpin()
-            for rid, _ in recs:
-                self._bump_generation(rid)
 
     def free(self, rid: int) -> None:
         """Release the record; empty pages are returned to the page file."""
@@ -227,6 +221,7 @@ class RecordStore:
         cls, page = self._fetch_record_page(rid)
         try:
             self._set_bitmap(page, cls, rid_slot(rid), occupied=False)
+            page.decoded.pop(rid, None)
         finally:
             page.unpin()
         _, occupied = self._page_meta[page_id]
@@ -238,14 +233,6 @@ class RecordStore:
         else:
             self._page_meta[page_id] = (cls, occupied)
             self._add_space(cls.record_size, page_id)
-        self._bump_generation(rid)
-
-    def generation_of(self, rid: int) -> int:
-        """Current write generation of ``rid`` (0 for never-written)."""
-        return self._record_gen.get(rid, 0)
-
-    def _bump_generation(self, rid: int) -> None:
-        self._record_gen[rid] = self._record_gen.get(rid, 0) + 1
 
     def record_size_of(self, rid: int) -> int:
         """Record size class of ``rid`` (from the in-memory space map)."""
@@ -428,24 +415,30 @@ T = TypeVar("T")
 
 
 class NodeCache(Generic[T]):
-    """Generation-keyed deserialized-node cache with write-through
+    """Decoded-node cache held on buffer-pool frames, with write-through
     persistence.
 
     ``serialize``/``deserialize`` convert between node objects and record
-    payload bytes.  Reads always touch the buffer pool (so residency and IO
-    counts behave exactly as if nodes were parsed from bytes each time);
-    ``deserialize`` only runs again after the node's page was evicted or
-    its record was rewritten.  It is called once per miss and its result
-    is shared by every later hit, so a codec may return an object that
-    defers part of its decoding (the STRIPES leaf codec returns records
-    holding numpy columns and builds their entry lists on first use).
-    Each cached object carries the record's write generation
-    (:meth:`RecordStore.generation_of`); a ``get`` whose stored generation
-    no longer matches counts as a decoded miss and re-deserializes, so
-    even raw :meth:`RecordStore.write`/``free`` calls that bypass this
-    cache can never serve a stale node.  Generations are per record, not
-    per page: rewriting one record does not invalidate its page siblings
-    (~11 non-leaf nodes share a page in the paper layout).
+    payload bytes.  Every read is a page access through the buffer pool
+    (so residency and IO counts behave exactly as if nodes were parsed
+    from bytes each time); ``deserialize`` only runs again after the
+    node's page was evicted or its record was rewritten.  It is called
+    once per miss and its result is shared by every later hit, so
+    a codec may return an object that defers part of its decoding (the
+    STRIPES leaf codec returns records holding numpy columns and builds
+    their entry lists on first use).
+
+    A decoded record sits in its frame's ``Page.decoded`` and always
+    matches the bytes it came from: every :class:`RecordStore` call that
+    changes a record's bytes -- ``allocate``, ``write``, ``write_many``,
+    ``free`` -- drops the record's decoded form while it holds the page
+    pinned, and :meth:`update`/:meth:`insert` then put the new node back.
+    A raw store write that bypasses this cache therefore can never serve
+    a stale node, and neither can a slot freed and reallocated behind its
+    back.  Rewriting one record does not invalidate its page siblings
+    (~11 non-leaf nodes share a page in the paper layout).  Several
+    caches may share one store (the rotating STRIPES sub-indexes do);
+    record ids keep their decoded records apart.
     """
 
     def __init__(self, store: RecordStore,
@@ -454,40 +447,30 @@ class NodeCache(Generic[T]):
         self.store = store
         self._serialize = serialize
         self._deserialize = deserialize
-        # rid -> (record generation at decode time, node object)
-        self._objects: Dict[int, tuple[int, T]] = {}
-        self._rids_by_page: Dict[int, Set[int]] = {}
         # Plain ints on the hot path; pulled into a registry on export.
         self.hits = 0
         self.misses = 0
-        # RLock: the pool's eviction callback (_on_eviction) can fire
-        # inside get()'s fetch while this cache holds the lock.
-        self._lock = threading.RLock()
-        self._detached = False
-        store.pool.add_eviction_listener(self._on_eviction)
 
     def get(self, rid: int) -> T:
-        """Fetch the node for ``rid`` (page access always goes through the
-        buffer pool; deserialization is skipped on object-cache hits)."""
-        with self._lock:
-            entry = self._objects.get(rid)
-        if entry is not None \
-                and entry[0] == self.store._record_gen.get(rid, 0):
-            # Hit: the page access still happens and is counted exactly
-            # as on the miss path, so IO accounting is independent of
-            # cache state; only the decode is skipped.
-            pool = self.store.pool
-            page_id = rid // MAX_SLOTS_PER_PAGE
-            if not pool.touch(page_id):
-                pool.fetch(page_id).unpin()
-            self.hits += 1
-            return entry[1]
+        """Fetch the node for ``rid`` (the page access always goes through
+        the buffer pool; deserialization is skipped on decoded hits)."""
+        pool = self.store.pool
+        page_id = rid // MAX_SLOTS_PER_PAGE
+        page = pool._frames.get(page_id)
+        if page is not None:
+            obj = page.decoded.get(rid)
+            if obj is not None:
+                # What fetching and unpinning a resident page counts: one
+                # logical read and the move to the LRU end.
+                pool.stats.logical_reads += 1
+                pool._frames.move_to_end(page_id)
+                self.hits += 1
+                return obj
         cls, page = self.store._fetch_record_page(rid)
         try:
-            raw = page.read(cls.record_offset(rid_slot(rid)),
-                            cls.record_size)
-            obj = self._deserialize(raw)
-            self._remember(rid, obj)
+            obj = self._deserialize(
+                page.read(cls.record_offset(rid_slot(rid)), cls.record_size))
+            page.decoded[rid] = obj
             self.misses += 1
             return obj
         finally:
@@ -515,67 +498,37 @@ class NodeCache(Generic[T]):
             self._remember(rid, obj)
 
     def free(self, rid: int) -> None:
-        """Delete the record and drop the cached object."""
+        """Delete the record; :meth:`RecordStore.free` drops its decoded
+        form from the frame."""
         self.store.free(rid)
-        with self._lock:
-            entry = self._objects.pop(rid, None)
-            if entry is not None:
-                page_rids = self._rids_by_page.get(rid_page(rid))
-                if page_rids is not None:
-                    page_rids.discard(rid)
-
-    def detach(self) -> None:
-        """Disconnect this cache from its (shared) buffer pool and drop
-        every cached object.
-
-        A :class:`RecordStore`'s pool may outlive any one cache built on
-        top of it (each rotating STRIPES sub-index creates its own cache
-        over the index-wide pool).  Without detaching, the pool's eviction
-        listener list would keep the dead cache -- and every node object it
-        holds -- reachable forever, and keep paying a callback per
-        eviction.  Idempotent; the cache remains usable as a pass-through
-        (every ``get`` decodes) afterwards, but is not meant to be.
-        """
-        with self._lock:
-            if self._detached:
-                return
-            self._detached = True
-            self._objects.clear()
-            self._rids_by_page.clear()
-        self.store.pool.remove_eviction_listener(self._on_eviction)
 
     def cached_count(self) -> int:
-        """Number of node objects currently cached (test helper)."""
-        with self._lock:
-            return len(self._objects)
+        """Decoded records held on the pool's resident frames, by every
+        cache over that pool."""
+        return sum(len(page.decoded)
+                   for page in self.store.pool._frames.values())
 
     def attach_metrics(self, registry, prefix: str = "node_cache") -> None:
-        """Expose deserialization hit/miss counters and the cached-object
+        """Expose deserialization hit/miss counters and the decoded-record
         gauge in ``registry`` via a pull collector."""
         hits = registry.counter(f"{prefix}_decoded_hits_total",
                                 help="node reads served without deserialize")
         misses = registry.counter(f"{prefix}_decoded_misses_total",
                                   help="node reads that deserialized bytes")
         cached = registry.gauge(f"{prefix}_cached_objects",
-                                help="deserialized node objects held")
+                                help="decoded records on resident frames")
 
         def collect() -> None:
             hits.set_total(self.hits)
             misses.set_total(self.misses)
-            cached.set(len(self._objects))
+            cached.set(self.cached_count())
 
         registry.register_collector(collect)
 
     def _remember(self, rid: int, obj: T) -> None:
-        with self._lock:
-            if self._detached:
-                return
-            self._objects[rid] = (self.store.generation_of(rid), obj)
-            self._rids_by_page.setdefault(rid_page(rid), set()).add(rid)
-
-    def _on_eviction(self, page_id: int) -> None:
-        with self._lock:
-            rids = self._rids_by_page.pop(page_id, None)
-            if rids:
-                for rid in rids:
-                    self._objects.pop(rid, None)
+        # The write just fetched the page, so its frame is resident --
+        # unless a multi-page write_many evicted it again, in which case
+        # the next get decodes.
+        page = self.store.pool._frames.get(rid_page(rid))
+        if page is not None:
+            page.decoded[rid] = obj

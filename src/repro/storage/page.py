@@ -5,6 +5,11 @@ matches that default.  A :class:`Page` is a page id plus a mutable byte
 buffer, a dirty flag, and a pin count.  Pages live inside frames of the
 buffer pool; index code never holds raw buffers across operations without
 pinning.
+
+A frame also carries the decoded form of the records on it
+(:attr:`Page.decoded`, filled by :class:`repro.storage.node_store.NodeCache`):
+the decoded nodes live exactly as long as the bytes they came from, so
+evicting or freeing the frame drops them with it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ INVALID_PAGE_ID = -1
 class Page:
     """One in-memory page: id, buffer, dirty flag, and pin count."""
 
-    __slots__ = ("page_id", "data", "dirty", "pin_count")
+    __slots__ = ("page_id", "data", "dirty", "pin_count", "decoded")
 
     def __init__(self, page_id: int, data: bytearray | None = None,
                  page_size: int = PAGE_SIZE):
@@ -35,6 +40,8 @@ class Page:
         self.data = data
         self.dirty = False
         self.pin_count = 0
+        #: rid -> decoded node, for records whose bytes are on this page
+        self.decoded: dict = {}
 
     @property
     def is_pinned(self) -> bool:

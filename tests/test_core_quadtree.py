@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dual import DualPoint, DualSpace
-from repro.core.nodes import INVALID_RID, LeafNode, NonLeafNode
+from repro.core.nodes import (
+    INVALID_RID,
+    LeafNode,
+    NonLeafNode,
+    points_from_columns,
+)
 from repro.core.quadtree import DualQuadTree, QuadTreeConfig
 from repro.core.query_region import build_query_regions
 from repro.query.types import TimeSliceQuery, WindowQuery
@@ -23,6 +28,11 @@ SPACE = DualSpace(vmax=(3.0, 3.0), pmax=(100.0, 100.0), lifetime=10.0)
 def make_tree(config=QuadTreeConfig(), pool_pages=4096, space=SPACE):
     pool = BufferPool(InMemoryPageFile(), capacity=pool_pages)
     return DualQuadTree(space, RecordStore(pool), config)
+
+
+def search(tree, regions):
+    """The search answer as points, built from its columns."""
+    return points_from_columns(*tree.search_columns(regions))
 
 
 def random_point(rng, oid, space=SPACE):
@@ -233,7 +243,7 @@ class TestSearch:
             tree.insert(random_point(rng, oid))
         # A query region covering the whole space at t = t_ref.
         query = TimeSliceQuery((-1000.0, -1000.0), (1000.0, 1000.0), 0.0)
-        found = tree.search(self.regions_for(query))
+        found = search(tree, self.regions_for(query))
         assert len(found) == 500
 
     def test_search_empty_region(self):
@@ -242,12 +252,12 @@ class TestSearch:
         for oid in range(200):
             tree.insert(random_point(rng, oid))
         query = TimeSliceQuery((-500.0, -500.0), (-400.0, -400.0), 0.0)
-        assert tree.search(self.regions_for(query)) == []
+        assert search(tree, self.regions_for(query)) == []
 
     def test_wrong_region_count_rejected(self):
         tree = make_tree()
         with pytest.raises(ValueError, match="query regions"):
-            tree.search(())
+            search(tree, ())
 
     def test_pruning_and_unpruned_agree(self):
         rng = random.Random(9)
@@ -262,8 +272,8 @@ class TestSearch:
             query = WindowQuery((x, x), (x + 10, x + 10),
                                 rng.uniform(0, 5), rng.uniform(5, 15))
             regions = self.regions_for(query)
-            assert sorted(pruned.search(regions)) \
-                == sorted(plain.search(regions))
+            assert sorted(search(pruned, regions)) \
+                == sorted(search(plain, regions))
 
 
 class TestDestroyAndStats:
@@ -329,7 +339,7 @@ class TestSearchExactness:
                 p.oid for p in points
                 if all(regions[i].contains_point(p.v[i], p.p[i])
                        for i in range(2)))
-            got = sorted(e.oid for e in tree.search(regions))
+            got = sorted(e.oid for e in search(tree, regions))
             assert got == expected
 
 

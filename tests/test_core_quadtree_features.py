@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.scan import ScanIndex
 from repro.core.dual import DualPoint, DualSpace
+from repro.core.nodes import points_from_columns
 from repro.core.quadtree import DualQuadTree, QuadTreeConfig
 from repro.core.query_region import build_query_regions
 from repro.core.stripes import StripesConfig, StripesIndex
@@ -28,6 +29,11 @@ LADDER = (505, 1011, 2045, PAGE_SIZE - 5)  # 1/8, 1/4, 1/2, full page
 def make_tree(config=QuadTreeConfig(), pool_pages=4096):
     pool = BufferPool(InMemoryPageFile(), capacity=pool_pages)
     return DualQuadTree(SPACE, RecordStore(pool), config)
+
+
+def search(tree, regions):
+    """The search answer as points, built from its columns."""
+    return points_from_columns(*tree.search_columns(regions))
 
 
 def random_point(rng, oid):
@@ -83,8 +89,8 @@ class TestLeafSizeLadder:
                                 rng.uniform(0, 5), rng.uniform(5, 15))
             regions = build_query_regions(query.as_moving(), SPACE.vmax,
                                           SPACE.lifetime, 0.0)
-            assert sorted(e.oid for e in ladder_tree.search(regions)) \
-                == sorted(e.oid for e in plain_tree.search(regions))
+            assert sorted(e.oid for e in search(ladder_tree, regions)) \
+                == sorted(e.oid for e in search(plain_tree, regions))
         # Deletes work across rungs.
         rng.shuffle(points)
         for point in points:
@@ -122,7 +128,7 @@ class TestCountQueries:
                                    rng.uniform(0, 15))
             regions = self.regions_for(query)
             assert tree.count_in_regions(regions) \
-                == len(tree.search(regions))
+                == len(search(tree, regions))
 
     def test_count_whole_space_reads_no_leaves(self):
         # Tiny leaves force height >= 3 so INSIDE non-leaf children exist;
@@ -138,7 +144,7 @@ class TestCountQueries:
         assert tree.count_in_regions(regions) == 1000
         count_reads = tree.store.pool.stats.logical_reads - logical_before
         logical_before = tree.store.pool.stats.logical_reads
-        assert len(tree.search(regions)) == 1000
+        assert len(search(tree, regions)) == 1000
         search_reads = tree.store.pool.stats.logical_reads - logical_before
         # Counting everything touches only the upper levels.
         assert count_reads < search_reads / 3
@@ -194,8 +200,8 @@ class TestBulkLoad:
                                    rng.uniform(0, 15))
             regions = build_query_regions(query.as_moving(), SPACE.vmax,
                                           SPACE.lifetime, 0.0)
-            assert sorted(e.oid for e in loaded.search(regions)) \
-                == sorted(e.oid for e in inserted.search(regions))
+            assert sorted(e.oid for e in search(loaded, regions)) \
+                == sorted(e.oid for e in search(inserted, regions))
 
     def test_bulk_load_requires_empty_tree(self):
         tree = make_tree()

@@ -1,6 +1,6 @@
-"""Rotation must not leak storage: retired windows free their pages and
-detach their node caches from the shared buffer pool (the PR-3 fix to
-``StripesIndex._retire_expired``)."""
+"""Rotation must not leak storage: retired windows free their pages, and
+their decoded nodes leave the shared buffer pool with the freed records
+(``StripesIndex._retire_expired``)."""
 
 import random
 
@@ -58,47 +58,26 @@ def test_rotate_to_retires_without_an_insert():
     assert len(index) == 0
 
 
-def test_destroy_detaches_eviction_listener():
-    """Every rotation must remove the retired tree's cache from the
-    pool's eviction-listener list (the long-service leak)."""
-    pool = BufferPool(InMemoryPageFile(), capacity=64)
+def _decoded_rids(pool):
+    return {rid for page in pool._frames.values() for rid in page.decoded}
+
+
+@pytest.mark.parametrize("pool_pages", [64, 8])
+def test_rotation_leaves_no_decoded_record_of_a_freed_rid(pool_pages):
+    """Decoded nodes live on their buffer-pool frame: after every
+    rotation, no resident frame holds a decoded record whose rid the
+    store no longer occupies -- the retired trees leave nothing behind in
+    the shared pool, whether it holds the whole index or thrashes."""
+    pool = BufferPool(InMemoryPageFile(), capacity=pool_pages)
     index = StripesIndex(CONFIG, pool)
     rng = random.Random(33)
-    baseline = len(pool._eviction_listeners)
     for round_i in range(4):
         t = round_i * 2 * CONFIG.lifetime + 1.0
         index.insert_batch(bulk_states(rng, 30, t=t, oid_base=round_i * 100))
-        # One live window registers one listener; retired ones must be gone.
-        assert len(pool._eviction_listeners) <= baseline + 2
+        assert _decoded_rids(pool) <= set(index.store.occupied_rids())
+        assert len(index) == 30
     assert index.rotations >= 3
-
-
-def test_node_cache_detach_is_idempotent():
-    index = StripesIndex(CONFIG)
-    index.insert(MovingObjectState(1, (10.0, 10.0), (0.0, 0.0), 1.0))
-    (tree,) = index._trees.values()
-    pool = index.pool
-    before = len(pool._eviction_listeners)
-    tree.cache.detach()
-    assert len(pool._eviction_listeners) == before - 1
-    tree.cache.detach()  # second detach must be a no-op
-    assert len(pool._eviction_listeners) == before - 1
-    assert tree.cache.cached_count() == 0
-
-
-def test_detached_cache_ignores_late_traffic():
-    """After detach, _remember and eviction callbacks must be inert."""
-    index = StripesIndex(CONFIG)
-    rng = random.Random(34)
-    index.insert_batch(bulk_states(rng, 20, t=1.0))
-    (tree,) = index._trees.values()
-    cache = tree.cache
-    cache.detach()
-    # Queries after detach still work (decode misses, just no caching).
-    from repro.query.types import TimeSliceQuery
-    result = index.query(TimeSliceQuery((0.0, 0.0), CONFIG.pmax, 2.0))
-    assert len(result) == 20
-    assert cache.cached_count() == 0
+    assert index.check() == []
 
 
 def test_pages_reclaimed_metric_exported():

@@ -84,15 +84,19 @@ class TestEviction:
             pool.new_page()
         pool.unpin(page)
 
-    def test_eviction_listener_invoked(self):
+    def test_eviction_drops_decoded_records(self):
+        """Decoded records live on the frame: an evicted page comes back
+        as a fresh frame holding only its bytes."""
         pool = make_pool(capacity=1)
-        evicted = []
-        pool.add_eviction_listener(evicted.append)
         a = pool.new_page()
+        a.decoded[7] = (1, "node")
         pool.unpin(a)
         b = pool.new_page()
         pool.unpin(b)
-        assert evicted == [a.page_id]
+        assert not pool.is_resident(a.page_id)
+        with pool.pinned(a.page_id) as again:
+            assert again is not a
+            assert again.decoded == {}
 
     def test_pinned_page_survives_pressure(self):
         pool = make_pool(capacity=2)
@@ -145,9 +149,18 @@ class TestFlush:
     def test_free_pinned_page_rejected(self):
         pool = make_pool()
         page = pool.new_page()
+        page.write(0, b"keep")
+        pid = page.page_id
         with pytest.raises(RuntimeError, match="pinned"):
-            pool.free_page(page.page_id)
+            pool.free_page(pid)
+        # The refused free must leave the pinned, dirty frame in place.
+        assert pool.is_resident(pid)
+        assert pid not in set(pool.pagefile.free_page_ids())
         pool.unpin(page)
+        with pool.pinned(pid) as again:
+            assert again is page
+            assert again.read(0, 4) == b"keep"
+        assert pool.stats.pages_freed == 0
 
 
 class TestPropertyBased:

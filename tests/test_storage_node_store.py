@@ -211,6 +211,16 @@ class TestNodeCache:
         with pytest.raises(KeyError):
             cache.get(rid)
 
+    def test_reallocated_slot_never_serves_a_stale_decode(self, store):
+        cache = self.make_cache(store)
+        keep = cache.insert(64, "sibling")
+        rid = cache.insert(64, "old")
+        cache.free(rid)
+        cache.get(rid)  # decodes the freed slot's leftover bytes
+        assert store.allocate(64, b"new") == rid
+        assert cache.get(rid) == "new"
+        assert cache.get(keep) == "sibling"
+
     def test_reads_count_logical_io(self, store):
         cache = self.make_cache(store)
         rid = cache.insert(64, "x")
@@ -218,3 +228,107 @@ class TestNodeCache:
         cache.get(rid)
         cache.get(rid)
         assert store.pool.stats.logical_reads == before + 2
+
+
+def _pad(value: str) -> bytes:
+    # Records keep undefined trailing bytes, so every payload fills the
+    # same 16 bytes.
+    return value.encode().ljust(16, b"\x00")
+
+
+def _unpad(raw: bytes) -> str:
+    return raw[:16].rstrip(b"\x00").decode()
+
+
+class DecodeEveryGet(NodeCache):
+    """Reference cache: ``get`` decodes the record's bytes every time,
+    through the same single page fetch."""
+
+    def get(self, rid):
+        self.misses += 1
+        return self._deserialize(self.store.read(rid))
+
+
+class TestFrameHeldCacheDifferential:
+    """Random operation sequences over a 2-4-page pool, run against the
+    frame-held cache and against a reference that decodes on every get.
+    Both see the same page traffic, so their pool counters must agree
+    after every step, and every get must return what the record's bytes
+    decode to."""
+
+    SIZES = (64, 1500, 2000)
+    VALUES = st.text(alphabet="abcdefgh", min_size=1, max_size=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.integers(min_value=2, max_value=4), data=st.data())
+    def test_matches_decode_every_get(self, capacity, data):
+        systems = []
+        for cache_cls in (NodeCache, DecodeEveryGet):
+            store = make_store(capacity=capacity)
+            systems.append((store, cache_cls(store, serialize=_pad,
+                                             deserialize=_unpad)))
+        store = systems[0][0]
+        live = {}
+        for _ in range(data.draw(st.integers(1, 60), label="steps")):
+            ops = ["insert"]
+            if live:
+                ops += ["get", "get", "update", "update_many", "free",
+                        "raw_write", "raw_free_realloc"]
+            op = data.draw(st.sampled_from(ops), label="op")
+            if op == "insert":
+                size = data.draw(st.sampled_from(self.SIZES), label="size")
+                value = data.draw(self.VALUES, label="value")
+                rids = {c.insert(size, value) for _, c in systems}
+                assert len(rids) == 1
+                live[rids.pop()] = value
+                continue
+            rid = data.draw(st.sampled_from(sorted(live)), label="rid")
+            if op == "get":
+                for s, c in systems:
+                    got = c.get(rid)
+                    assert got == _unpad(s.read(rid)) == live[rid]
+            elif op == "update":
+                live[rid] = data.draw(self.VALUES, label="value")
+                for _, c in systems:
+                    c.update(rid, live[rid])
+            elif op == "update_many":
+                rids = data.draw(st.lists(st.sampled_from(sorted(live)),
+                                          min_size=1, unique=True),
+                                 label="rids")
+                items = [(r, data.draw(self.VALUES, label="value"))
+                         for r in rids]
+                live.update(items)
+                for _, c in systems:
+                    c.update_many(items)
+            elif op == "free":
+                del live[rid]
+                for _, c in systems:
+                    c.free(rid)
+            elif op == "raw_write":
+                live[rid] = data.draw(self.VALUES, label="value")
+                for s, _ in systems:
+                    s.write(rid, _pad(live[rid]))
+            else:  # raw free, then reallocate (usually the same slot)
+                size = store.record_size_of(rid)
+                value = data.draw(self.VALUES, label="value")
+                del live[rid]
+                new = set()
+                for s, _ in systems:
+                    s.free(rid)
+                    new.add(s.allocate(size, _pad(value)))
+                assert len(new) == 1
+                live[new.pop()] = value
+            counters = [s.pool.stats.counters() for s, _ in systems]
+            assert counters[0] == counters[1]
+            # Decoded records live on their frame and always match the
+            # record's current bytes.
+            for page in store.pool._frames.values():
+                for decoded_rid, obj in page.decoded.items():
+                    assert rid_page(decoded_rid) == page.page_id
+                    assert obj == live[decoded_rid]
+        for rid, value in live.items():
+            for _, c in systems:
+                assert c.get(rid) == value
+        reference_store = systems[1][0]
+        assert store.pool.stats.counters() == \
+            reference_store.pool.stats.counters()
