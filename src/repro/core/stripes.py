@@ -527,7 +527,8 @@ class StripesIndex:
         before = self.pool.stats.snapshot()
         with tracer.span("stripes.query",
                          kind=type(query).__name__) as root:
-            for window, tree in sorted(self._trees.items()):
+            # Window creation order, as query() and count() walk them.
+            for window, tree in self._trees.items():
                 label = f"window {window} (t_ref={tree.space.t_ref:g})"
                 trace = DescentTrace(label=label)
                 with tracer.span("stripes.descend", window=window):
