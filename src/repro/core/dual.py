@@ -34,9 +34,9 @@ class DualPoint(NamedTuple):
 
     A ``NamedTuple`` rather than a dataclass: tuple construction is
     measurably cheaper, and write paths build one per entry of every leaf
-    they rewrite.  Queries do not build them: leaf records decode into
-    numpy columns (:class:`repro.core.nodes.LeafSoA`) -- traced ones
-    (``explain()``) too -- and a record's entry list is only built when
+    they rewrite.  Queries do not build them: leaf records keep their
+    packed on-page rows, which a search reads as numpy columns -- traced
+    ones (``explain()``) too -- and a record's entry list is only built when
     a write path, an extension (kNN, join), or a checker asks for it.
     """
 

@@ -18,6 +18,13 @@ and the level.
 
 All integers are little-endian; coordinates are 8-byte floats by default or
 4-byte floats in the paper-faithful ``float32`` layout.
+
+Leaf and extension records keep their entries in that on-page layout:
+the *packed rows*.  Decoding a record keeps a slice of its bytes and
+serializing one keeps the bytes it packed.  A search joins the rows of
+every record it reads and views them as numpy columns once
+(:meth:`NodeCodec.columns`); the ``DualPoint`` list is decoded from the
+rows only when a write path, an extension or a checker asks for it.
 """
 
 from __future__ import annotations
@@ -61,44 +68,9 @@ class NonLeafNode:
         return [i for i, rid in enumerate(self.children) if rid != INVALID_RID]
 
 
-class LeafSoA:
-    """Structure-of-arrays view of one leaf record's entries.
-
-    ``oids`` is an ``int64`` column; ``vs``/``ps`` are ``(n, d)`` coordinate
-    columns.  They are always ``float64``, even in the paper-faithful
-    float32 layout: dual coordinates are rounded at transform time and
-    widen exactly, so the column holds the same values the entries'
-    tuples hold, without a per-query upcast copy.  The vectorized query
-    kernels (:meth:`repro.core.query_region.QueryRegion2D.contains_batch`)
-    consume these columns instead of iterating :class:`DualPoint` objects.
-    """
-
-    __slots__ = ("oids", "vs", "ps")
-
-    def __init__(self, oids: np.ndarray, vs: np.ndarray, ps: np.ndarray):
-        self.oids = oids
-        self.vs = vs
-        self.ps = ps
-
-    def __len__(self) -> int:
-        return len(self.oids)
-
-
-def _build_soa(entries: List[DualPoint], d: int) -> LeafSoA:
-    n = len(entries)
-    if n == 0:
-        return LeafSoA(np.empty(0, dtype=np.int64),
-                       np.empty((0, d), dtype=np.float64),
-                       np.empty((0, d), dtype=np.float64))
-    oids = np.fromiter((e.oid for e in entries), dtype=np.int64, count=n)
-    vs = np.array([e.v for e in entries], dtype=np.float64)
-    ps = np.array([e.p for e in entries], dtype=np.float64)
-    return LeafSoA(oids, vs, ps)
-
-
 def points_from_columns(oids: np.ndarray, vs: np.ndarray,
                         ps: np.ndarray) -> List[DualPoint]:
-    """:class:`DualPoint` objects for SoA rows (Python ``int`` oids,
+    """:class:`DualPoint` objects for column rows (Python ``int`` oids,
     tuples of ``float``), in row order."""
     return list(map(DualPoint, oids.tolist(), map(tuple, vs.tolist()),
                     map(tuple, ps.tolist())))
@@ -107,51 +79,62 @@ def points_from_columns(oids: np.ndarray, vs: np.ndarray,
 class _LeafRecord:
     """Entry storage shared by leaves and leaf extensions.
 
-    A record holds its entries as a ``List[DualPoint]``, as SoA columns
-    (:class:`LeafSoA`), or both:
+    A record holds its entries as a ``List[DualPoint]``, as packed rows
+    -- the bytes of the on-page entry layout
+    (:attr:`NodeCodec._entry_dtype`) -- or both:
 
-    * Records built in memory by the write paths start with the list;
-      :meth:`soa` builds the columns on first use and caches them.
-    * Records decoded from a page start with the columns only.  The
-      ``entries`` list is built from them on first access -- by a write
-      path, an extension (kNN, join), or a checker -- so the query
-      descent, traced or not, reads only the columns and never creates
-      per-entry objects.
+    * Records decoded from a page start with the rows only, a bytes
+      slice of the record.  The ``entries`` list is decoded from them on
+      first access -- by a write path, an extension (kNN, join), or a
+      checker -- so the query descent, traced or not, reads only the
+      rows and never creates per-entry objects.
+    * Records built in memory start with the list; serializing one keeps
+      the rows the codec packed, so the next search reads those.
 
-    The cached columns are valid while ``_entries`` is None (decoded,
-    never materialized) or is the *same list* at the *same length* the
-    columns were built from: every mutation path either replaces the
-    list or grows/shrinks it.  Holding a reference to the list (not just
-    its ``id``) makes the identity test immune to CPython id reuse.  The
-    query descent inlines this test; :meth:`soa` is the reference form.
+    The rows are valid while ``_entries`` is None (decoded, never
+    materialized) or is the *same list* at the *same length* the rows
+    were packed from or decoded into: every mutation path either
+    replaces the list or grows/shrinks it.  Holding a reference to the
+    list (not just its ``id``) makes the identity test immune to CPython
+    id reuse.  The query descent inlines this test;
+    :meth:`_rows_valid` is the reference form and
+    :meth:`NodeCodec.rows` repacks stale rows.
     """
 
-    __slots__ = ("_entries", "_soa", "_soa_entries", "_soa_len",
-                 "overflow")
+    __slots__ = ("_entries", "_rows", "_rows_entries", "_rows_len",
+                 "_codec", "overflow")
 
     def _init_entries(self, entries: Optional[List[DualPoint]],
                       overflow: int) -> None:
         self._entries = entries if entries is not None else []
-        self._soa = None
-        self._soa_entries = None
-        self._soa_len = -1
+        self._rows = None
+        self._rows_entries = None
+        self._rows_len = -1
+        self._codec = None
         self.overflow = overflow
 
-    def _adopt_columns(self, soa: LeafSoA) -> None:
-        """Hold decoded columns in place of an entry list."""
-        self._entries = None
-        self._soa = soa
-        self._soa_entries = None
-        self._soa_len = len(soa.oids)
+    def _keep_rows(self, codec: "NodeCodec", rows: bytes,
+                   entries: Optional[List[DualPoint]], count: int) -> None:
+        """Hold ``count`` packed ``rows``: the packing of ``entries``, or
+        (``entries`` None) decoded rows in place of an entry list."""
+        self._entries = entries
+        self._rows = rows
+        self._rows_entries = entries
+        self._rows_len = count
+        self._codec = codec
+
+    def _rows_valid(self) -> bool:
+        entries = self._entries
+        return entries is None or (self._rows_entries is entries
+                                   and self._rows_len == len(entries))
 
     @property
     def entries(self) -> List[DualPoint]:
         entries = self._entries
         if entries is None:
-            soa = self._soa
-            entries = points_from_columns(soa.oids, soa.vs, soa.ps)
+            entries = self._codec._unpack_entries(self._rows)
             self._entries = entries
-            self._soa_entries = entries
+            self._rows_entries = entries
         return entries
 
     @entries.setter
@@ -162,18 +145,7 @@ class _LeafRecord:
     def size(self) -> int:
         """Entries in this record only (not the overflow chain)."""
         entries = self._entries
-        return self._soa_len if entries is None else len(entries)
-
-    def soa(self, d: int) -> LeafSoA:
-        entries = self._entries
-        if entries is None or (self._soa_entries is entries
-                               and self._soa_len == len(entries)):
-            return self._soa
-        view = _build_soa(entries, d)
-        self._soa = view
-        self._soa_entries = entries
-        self._soa_len = len(entries)
-        return view
+        return self._rows_len if entries is None else len(entries)
 
 
 class LeafNode(_LeafRecord):
@@ -257,8 +229,9 @@ class NodeCodec:
         # the leaf/extension capacities, so the memo stays small.
         self._entry_fmt = f"q{2 * d}{coord}"
         self._entry_batch: dict[int, struct.Struct] = {}
-        # Decode side: the same entry layout as a numpy structured dtype
-        # (v coordinates, then p coordinates, after the oid).
+        # The same entry layout as a numpy structured dtype (v
+        # coordinates, then p coordinates, after the oid): packed rows
+        # are read through it as columns and as entries.
         self._entry_dtype = np.dtype(
             [("oid", "<i8"),
              ("coords", "<f4" if float32 else "<f8", (2 * d,))])
@@ -362,42 +335,70 @@ class NodeCodec:
         # per coordinate in the float32 layout.
         return st.pack(*flat)
 
-    def _unpack_columns(self, raw: bytes, offset: int,
-                        count: int) -> LeafSoA:
-        """Decode ``count`` packed entries into SoA columns with one
-        ``frombuffer`` over the entry dtype.  The widening copies give
-        aligned columns that do not keep ``raw`` alive."""
+    def _unpack_entries(self, rows: bytes) -> List[DualPoint]:
+        """The :class:`DualPoint` list of packed rows, read straight from
+        field views (float32 coordinates become Python floats exactly)."""
         d = self.d
-        rows = np.frombuffer(raw, self._entry_dtype, count, offset)
-        coords = rows["coords"].astype(np.float64)
-        return LeafSoA(rows["oid"].astype(np.int64),
-                       coords[:, :d], coords[:, d:])
+        table = np.frombuffer(rows, self._entry_dtype)
+        coords = table["coords"]
+        return points_from_columns(table["oid"], coords[:, :d],
+                                   coords[:, d:])
+
+    def rows(self, record: "_LeafRecord") -> bytes:
+        """``record``'s packed rows, repacked from its entries when the
+        list changed since it was last packed or decoded."""
+        if record._rows_valid():
+            return record._rows
+        entries = record._entries
+        rows = self._pack_entries(entries)
+        record._keep_rows(self, rows, entries, len(entries))
+        return rows
+
+    def columns(self, rows: bytes
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(oids, vs, ps)`` field views of packed rows: one
+        ``frombuffer`` and no copy, except that float32 coordinates are
+        widened to float64 in one copy (exactly: dual coordinates are
+        rounded at transform time)."""
+        d = self.d
+        table = np.frombuffer(rows, self._entry_dtype)
+        coords = table["coords"]
+        if self.float32:
+            coords = coords.astype(np.float64)
+        return table["oid"], coords[:, :d], coords[:, d:]
+
+    def _serialize_records(self, header: bytes,
+                           node: "_LeafRecord") -> bytes:
+        """``header`` plus the packed entries, which ``node`` keeps."""
+        entries = node.entries
+        rows = self._pack_entries(entries)
+        node._keep_rows(self, rows, entries, len(entries))
+        return header + rows
 
     def _serialize_leaf(self, node: LeafNode) -> bytes:
-        header = self._leaf_header.pack(
-            _TAG_LEAF, node.level, len(node.entries), node.overflow,
-            *node.v_corner, *node.p_corner)
-        return header + self._pack_entries(node.entries)
+        return self._serialize_records(self._leaf_header.pack(
+            _TAG_LEAF, node.level, node.size, node.overflow,
+            *node.v_corner, *node.p_corner), node)
 
     def _deserialize_leaf(self, raw: bytes) -> LeafNode:
-        parts = self._leaf_header.unpack(raw[: self._leaf_header.size])
+        size = self._leaf_header.size
+        parts = self._leaf_header.unpack(raw[:size])
         _, level, count, overflow = parts[:4]
         v_corner = tuple(parts[4: 4 + self.d])
         p_corner = tuple(parts[4 + self.d: 4 + 2 * self.d])
         leaf = LeafNode(level, v_corner, p_corner, None, overflow)
-        leaf._adopt_columns(
-            self._unpack_columns(raw, self._leaf_header.size, count))
+        leaf._keep_rows(self, raw[size: size + count * self.entry_size],
+                        None, count)
         return leaf
 
     def _serialize_extension(self, node: LeafExtension) -> bytes:
-        header = self._ext_header.pack(
-            _TAG_EXTENSION, len(node.entries), node.overflow)
-        return header + self._pack_entries(node.entries)
+        return self._serialize_records(self._ext_header.pack(
+            _TAG_EXTENSION, node.size, node.overflow), node)
 
     def _deserialize_extension(self, raw: bytes) -> LeafExtension:
-        _, count, overflow = self._ext_header.unpack(
-            raw[: self._ext_header.size])
+        size = self._ext_header.size
+        _, count, overflow = self._ext_header.unpack(raw[:size])
         ext = LeafExtension(None, overflow)
-        ext._adopt_columns(
-            self._unpack_columns(raw, self._ext_header.size, count))
+        ext._keep_rows(self, raw[size: size + count * self.entry_size],
+                       None, count)
         return ext

@@ -798,41 +798,31 @@ class DualQuadTree:
         range to True: re-testing them could disagree with the rectangle
         classification by an ulp at region boundaries.
         """
-        d = self.d
-        if not segments:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty((0, d), dtype=np.float64),
-                    np.empty((0, d), dtype=np.float64))
-        soas = []
+        parts = []
         lit_ranges = []
         any_pending = False
         off = 0
         for rec, lit in segments:
-            # soa() unrolled: decoded columns are valid until the entries
-            # are materialized; after that (and for in-memory records)
-            # while the entry list is the same object at the same length.
+            # _rows_valid() unrolled: decoded rows are valid until the
+            # entries are materialized; after that (and for in-memory
+            # records) while the entry list is the one they were packed
+            # from, at the same length.
             entries = rec._entries
-            if entries is None or (rec._soa_entries is entries
-                                   and rec._soa_len == len(entries)):
-                soa = rec._soa
+            if entries is None or (rec._rows_entries is entries
+                                   and rec._rows_len == len(entries)):
+                parts.append(rec._rows)
             else:
-                soa = rec.soa(d)
-            soas.append(soa)
-            n = rec._soa_len
+                parts.append(self.codec.rows(rec))
+            n = rec._rows_len
             if lit:
                 lit_ranges.append((off, off + n))
             else:
                 any_pending = True
             off += n
-        if len(soas) == 1:
-            oids, vs, ps = soas[0].oids, soas[0].vs, soas[0].ps
-        else:
-            oids = np.concatenate([s.oids for s in soas])
-            vs = np.concatenate([s.vs for s in soas])
-            ps = np.concatenate([s.ps for s in soas])
+        oids, vs, ps = self.codec.columns(b"".join(parts))
         if any_pending:
             mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
-            for i in range(1, d):
+            for i in range(1, self.d):
                 mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
             for lo, hi in lit_ranges:
                 mask[lo:hi] = True
@@ -842,9 +832,9 @@ class DualQuadTree:
                 if type(rec) is LeafNode:
                     trace.leaf_visits += 1
                 if lit:
-                    trace.entries_reported += rec._soa_len
+                    trace.entries_reported += rec._rows_len
                 else:
-                    trace.entries_scanned += rec._soa_len
+                    trace.entries_scanned += rec._rows_len
             trace.candidates += len(oids)
         return oids, vs, ps
 
@@ -1052,22 +1042,11 @@ class DualQuadTree:
 
     def _count_leaf(self, leaf: LeafNode,
                     regions: Tuple[QueryRegion2D, ...]) -> int:
-        """Matching entries in a leaf (and its overflow chain)."""
-        d = self.d
-        total = 0
-        rec = leaf
-        while True:
-            if rec.size:
-                soa = rec.soa(d)
-                mask = regions[0].contains_batch(soa.vs[:, 0], soa.ps[:, 0])
-                for i in range(1, d):
-                    mask &= regions[i].contains_batch(soa.vs[:, i],
-                                                      soa.ps[:, i])
-                total += int(np.count_nonzero(mask))
-            nxt = rec.overflow
-            if nxt == INVALID_RID:
-                return total
-            rec = self.cache.get(nxt)
+        """Matching entries in a leaf (and its overflow chain): the
+        search kernels over its packed rows."""
+        segments: List[tuple] = []
+        self._defer_leaf(leaf, segments)
+        return len(self._resolve_columns(regions, segments)[0])
 
     def _count_nonleaf(self, rid: int,
                        regions: Tuple[QueryRegion2D, ...]) -> int:
@@ -1322,6 +1301,7 @@ class DualQuadTree:
                 problems.append(
                     f"leaf {rid} holds {len(leaf.entries)} entries, over "
                     f"its capacity of {capacity}")
+        self._check_rows(rid, leaf, problems)
         total = len(leaf.entries)
         entries = list(leaf.entries)
         if leaf.overflow != INVALID_RID:
@@ -1353,6 +1333,7 @@ class DualQuadTree:
                         f"record {ext_rid} on leaf {rid}'s overflow chain "
                         f"decodes to {type(ext).__name__}")
                     break
+                self._check_rows(ext_rid, ext, problems)
                 if len(ext.entries) > self.ext_capacity:
                     problems.append(
                         f"extension {ext_rid} holds {len(ext.entries)} "
@@ -1369,6 +1350,16 @@ class DualQuadTree:
             problems.append(
                 f"leaf {rid} holds {misplaced} entries outside its quad")
         return total
+
+    def _check_rows(self, rid: int, rec, problems: List[str]) -> None:
+        """Rows the search would read must be the packing of the
+        record's entries: a list changed in place at the same length
+        keeps stale rows that look valid."""
+        if rec._rows_valid() and \
+                rec._rows != self.codec._pack_entries(rec.entries):
+            problems.append(
+                f"record {rid} holds packed rows that differ from its "
+                f"entries")
 
     def _check_nonleaf(self, rid: int, node: NonLeafNode, level: int,
                        seen: set, problems: List[str]) -> int:

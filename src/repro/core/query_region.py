@@ -157,10 +157,11 @@ class QueryRegion2D:
     def contains_batch(self, vs: np.ndarray, ps: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`contains_point` over coordinate columns.
 
-        ``vs``/``ps`` are parallel 1-d coordinate arrays (one leaf's SoA
-        columns for this plane); the result is a boolean mask.  Arithmetic
-        is performed in ``float64`` regardless of the storage dtype and in
-        the same operation order as the scalar test, so the mask is
+        ``vs``/``ps`` are parallel 1-d coordinate arrays (this plane's
+        columns of a search's leaf rows); the result is a boolean mask.
+        Arithmetic is performed in ``float64`` regardless of the storage
+        dtype and in the same operation order as the scalar test, so the
+        mask is
         bit-exactly ``[contains_point(v, p) for v, p in zip(vs, ps)]``.
         """
         vs = np.asarray(vs, dtype=np.float64)

@@ -21,8 +21,8 @@ resident.  Evicting or freeing the frame drops its decoded records with
 it, and every :class:`RecordStore` call that changes a record's bytes
 drops that record's decoded form; no second map has to be kept in step
 and no staleness check runs on a read.  Mutations serialize immediately
-into the page.  What a decode builds is up to the caller's codec: the
-STRIPES codec decodes leaf records into numpy columns, not per-entry
+into the page.  What a decode builds is up to the caller's codec: a
+STRIPES leaf record keeps its packed entry bytes, not per-entry
 objects.
 
 Concurrency invariant (single writer per shard)
@@ -425,8 +425,8 @@ class NodeCache(Generic[T]):
     node's page was evicted or its record was rewritten.  It is called
     once per miss and its result is shared by every later hit, so
     a codec may return an object that defers part of its decoding (the
-    STRIPES leaf codec returns records holding numpy columns and builds
-    their entry lists on first use).
+    STRIPES leaf codec returns records holding their packed entry bytes
+    and builds their entry lists on first use).
 
     A decoded record sits in its frame's ``Page.decoded`` and always
     matches the bytes it came from: every :class:`RecordStore` call that

@@ -1,19 +1,27 @@
-"""Serialization round-trip tests for the quadtree node codec."""
+"""Serialization round-trip tests for the quadtree node codec, and the
+packed leaf rows the search reads against per-record float64 columns."""
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dual import DualPoint
+from repro.core.dual import DualPoint, DualSpace
 from repro.core.nodes import (
     INVALID_RID,
     LeafExtension,
     LeafNode,
     NodeCodec,
     NonLeafNode,
-    _build_soa,
 )
+from repro.core.quadtree import DualQuadTree, QuadTreeConfig
+from repro.core.query_region import build_query_regions
+from repro.query.types import MovingQuery, TimeSliceQuery, WindowQuery
+from repro.storage.buffer_pool import BufferPool
+from repro.storage.node_store import MAX_SLOTS_PER_PAGE, RecordStore
+from repro.storage.pagefile import InMemoryPageFile
 
 
 def dual_points(d, max_size=20):
@@ -142,11 +150,29 @@ def layout_points(d, float32, min_size=0, max_size=40):
         min_size=min_size, max_size=max_size)
 
 
+def reference_columns(entries, d):
+    """Reference float64 ``(oids, vs, ps)`` columns built from
+    :class:`DualPoint` objects, which the columns a search reads from
+    packed rows must equal byte for byte."""
+    n = len(entries)
+    if n == 0:
+        return (np.empty(0, dtype=np.int64),
+                np.empty((0, d), dtype=np.float64),
+                np.empty((0, d), dtype=np.float64))
+    return (np.fromiter((e.oid for e in entries), dtype=np.int64, count=n),
+            np.array([e.v for e in entries], dtype=np.float64),
+            np.array([e.p for e in entries], dtype=np.float64))
+
+
+def record_columns(codec, record):
+    """The columns a search reads for one record."""
+    return codec.columns(codec.rows(record))
+
+
 def assert_columns_equal(got, want):
-    """Bit-for-bit equality of two SoA views: dtype, shape and bytes."""
-    for name in ("oids", "vs", "ps"):
-        a = getattr(got, name)
-        b = getattr(want, name)
+    """Bit-for-bit equality of two ``(oids, vs, ps)`` triples: dtype,
+    shape and bytes."""
+    for name, a, b in zip(("oids", "vs", "ps"), got, want):
         assert a.dtype == b.dtype, name
         assert a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -165,8 +191,10 @@ RECORD_BYTES = 400
 
 
 class TestColumnarDecode:
-    """Leaf and extension records decode straight into SoA columns; the
-    ``entries`` list is only built from them on first access."""
+    """Leaf and extension records keep the packed bytes of their entries
+    -- decoding keeps a slice of the record, serializing keeps what it
+    packed -- and a search reads them as columns; the ``entries`` list
+    is only built on first access."""
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.integers(min_value=1, max_value=3), float32=st.booleans(),
@@ -180,16 +208,23 @@ class TestColumnarDecode:
                               overflow)
         else:
             record = LeafExtension(list(entries), overflow)
-        back = codec.deserialize(codec.serialize(record))
+        raw = codec.serialize(record)
+        # Serializing keeps the packed entries on the record.
+        assert raw.endswith(record._rows)
+        assert codec.rows(record) is record._rows
+        back = codec.deserialize(raw)
         assert type(back) is type(record)
         assert back._entries is None
         assert back.size == len(entries)
         assert back.overflow == overflow
-        assert_columns_equal(back.soa(d), _build_soa(entries, d))
-        # Materializing does not disturb the decoded columns.
-        columns = back.soa(d)
+        assert back._rows == record._rows
+        assert_columns_equal(record_columns(codec, back),
+                             reference_columns(entries, d))
+        # Materializing leaves the packed bytes object in place.
+        rows = back._rows
         assert_plain_entries(back.entries, entries)
-        assert back.soa(d) is columns
+        assert back._rows is rows
+        assert codec.rows(back) is rows
         assert back == record
 
     @settings(max_examples=50, deadline=None)
@@ -197,8 +232,8 @@ class TestColumnarDecode:
            data=st.data())
     def test_overflow_chain_columns(self, d, float32, data):
         """A leaf plus its extension chain, each record decoded on its
-        own, concatenates to the columns of the whole entry list.  Small
-        records keep the drawn chains short."""
+        own, joins to the rows of the whole entry list.  Small records
+        keep the drawn chains short."""
         codec = NodeCodec(d, float32)
         leaf_cap = codec.leaf_capacity(RECORD_BYTES)
         ext_cap = codec.extension_capacity(RECORD_BYTES)
@@ -217,14 +252,12 @@ class TestColumnarDecode:
                    for rec in records]
         for rec, chunk in zip(decoded, chunks):
             assert len(codec.serialize(rec)) <= RECORD_BYTES
-            assert_columns_equal(rec.soa(d), _build_soa(chunk, d))
+            assert_columns_equal(record_columns(codec, rec),
+                                 reference_columns(chunk, d))
         assert [rec.overflow for rec in decoded] \
             == [rec.overflow for rec in records]
-        whole = _build_soa(entries, d)
-        for name in ("oids", "vs", "ps"):
-            joined = np.concatenate([getattr(rec.soa(d), name)
-                                     for rec in decoded])
-            assert joined.tobytes() == getattr(whole, name).tobytes()
+        joined = codec.columns(b"".join(codec.rows(rec) for rec in decoded))
+        assert_columns_equal(joined, reference_columns(entries, d))
         chained = [e for rec in decoded for e in rec.entries]
         assert_plain_entries(chained, entries)
 
@@ -235,7 +268,9 @@ class TestColumnarDecode:
                            LeafExtension()):
                 back = codec.deserialize(codec.serialize(record))
                 assert back.size == 0
-                assert_columns_equal(back.soa(2), _build_soa([], 2))
+                assert back._rows == b""
+                assert_columns_equal(record_columns(codec, back),
+                                     reference_columns([], 2))
                 assert back.entries == []
 
     def test_mutation_invalidates_decoded_columns(self):
@@ -245,7 +280,157 @@ class TestColumnarDecode:
         back = codec.deserialize(codec.serialize(
             LeafNode(0, (0.0, 0.0), (0.0, 0.0), entries)))
         back.entries.append(DualPoint(99, (9.0, 9.0), (9.0, 9.0)))
-        assert back.soa(2).oids.tolist() == list(range(12)) + [99]
+        assert not back._rows_valid()
+        oids = record_columns(codec, back)[0]
+        assert oids.tolist() == list(range(12)) + [99]
         back.entries = back.entries[:3]
-        assert back.soa(2).oids.tolist() == [0, 1, 2]
+        assert record_columns(codec, back)[0].tolist() == [0, 1, 2]
         assert back.size == 3
+        assert back._rows_valid()
+
+
+def leaf_records(tree):
+    """``rid -> record`` of every leaf and extension of ``tree``."""
+    out = {}
+    stack = [(tree._root_rid, tree._root_is_leaf)]
+    while stack:
+        rid, is_leaf = stack.pop()
+        node = tree.cache.get(rid)
+        if not is_leaf:
+            stack.extend((node.children[idx], node.child_is_leaf[idx])
+                         for idx in node.present_children())
+            continue
+        while True:
+            out[rid] = node
+            rid = node.overflow
+            if rid == INVALID_RID:
+                break
+            node = tree.cache.get(rid)
+    return out
+
+
+def reference_search(regions, segments, d):
+    """Reference kernel pass over per-record float64 columns built from
+    each record's ``entries``: concatenate, test, force lit ranges."""
+    columns = [reference_columns(rec.entries, d) for rec, _ in segments]
+    if not columns:
+        return reference_columns([], d)
+    oids, vs, ps = (np.concatenate([c[k] for c in columns])
+                    for k in range(3))
+    if all(lit for _, lit in segments):
+        return oids, vs, ps
+    mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
+    for i in range(1, d):
+        mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
+    off = 0
+    for (_, lit), c in zip(segments, columns):
+        if lit:
+            mask[off: off + len(c[0])] = True
+        off += len(c[0])
+    return oids[mask], vs[mask], ps[mask]
+
+
+class TestPackedRowSearch:
+    """Differential: ``search_columns`` over packed rows must be
+    byte-equal to a kernel pass over per-record float64 columns, over a
+    mix of records decoded from bytes, serialized in memory, and
+    changed in memory after serializing (grown, shrunk, replaced), with
+    overflow chains and all-INSIDE (lit) subtrees."""
+
+    ACTIONS = ("decoded", "serialized", "grown", "shrunk", "replaced")
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=3), float32=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           data=st.data())
+    def test_search_equals_per_record_columns(self, d, float32, seed,
+                                              data):
+        rng = random.Random(seed)
+        space = DualSpace(vmax=(3.0,) * d, pmax=(100.0,) * d,
+                          lifetime=10.0, float32=float32)
+        # Small records and a depth cap: several levels of small leaves
+        # and, for the clustered points, overflow chains.
+        tree = DualQuadTree(
+            space, RecordStore(BufferPool(InMemoryPageFile(),
+                                          capacity=4096)),
+            QuadTreeConfig(leaf_size_ladder=(RECORD_BYTES, 800),
+                           max_depth=2))
+
+        def point(oid):
+            coords = [rng.uniform(0.0, e) for e in
+                      space.velocity_extent + space.position_extent]
+            if float32:
+                coords = [float(np.float32(x)) for x in coords]
+            return DualPoint(oid, tuple(coords[:d]), tuple(coords[d:]))
+
+        points = [point(oid) for oid in range(rng.randint(50, 400))]
+        cluster = points[0]
+        points += [cluster._replace(oid=10_000 + k)
+                   for k in range(data.draw(st.integers(0, 60)))]
+        tree.insert_batch(points[::2])
+        tree.insert_batch(points[1::2])
+        frames = tree.store.pool._frames
+        oid = 20_000
+        for rid, rec in leaf_records(tree).items():
+            action = data.draw(st.sampled_from(self.ACTIONS))
+            if action == "decoded":
+                frames[rid // MAX_SLOTS_PER_PAGE].decoded.pop(rid)
+            elif action == "grown":
+                rec.entries.append(point(oid))
+                oid += 1
+            elif action == "shrunk" and rec.size:
+                rec.entries.pop(rng.randrange(rec.size))
+            elif action == "replaced":
+                rec.entries = [point(oid + k)
+                               for k in range(rng.randint(0, 5))]
+                oid += 5
+        segments_seen = []
+        resolve = tree._resolve_columns
+
+        def spy(regions, segments, trace=None):
+            segments_seen.append(list(segments))
+            return resolve(regions, segments, trace)
+
+        tree._resolve_columns = spy
+        for _ in range(4):
+            t = rng.uniform(0.0, 10.0)
+            span = rng.choice((10.0, 60.0, 400.0))
+            lo = tuple(rng.uniform(-span / 2, 100.0) for _ in range(d))
+            hi = tuple(x + span for x in lo)
+            query = rng.choice((
+                TimeSliceQuery(lo, hi, t),
+                WindowQuery(lo, hi, t, t + rng.uniform(0.1, 5.0)),
+                MovingQuery(lo, hi, tuple(x + 5.0 for x in lo),
+                            tuple(x + 5.0 for x in hi), t, t + 2.0)))
+            regions = build_query_regions(query.as_moving(), space.vmax,
+                                          space.lifetime, space.t_ref)
+            got = tree.search_columns(regions)
+            assert_columns_equal(
+                got, reference_search(regions, segments_seen[-1], d))
+
+
+class TestCheckGuardsPackedRows:
+    """``check()`` compares every record's valid rows with the packing of
+    its entries, so stale rows fail the checker, not only the answers."""
+
+    def test_stale_rows_fail_check(self):
+        space = DualSpace(vmax=(3.0, 3.0), pmax=(100.0, 100.0),
+                          lifetime=10.0)
+        tree = DualQuadTree(space, RecordStore(BufferPool(
+            InMemoryPageFile(), capacity=64)))
+        rng = random.Random(3)
+        tree.insert_batch([
+            DualPoint(oid,
+                      tuple(rng.uniform(0.0, e)
+                            for e in space.velocity_extent),
+                      tuple(rng.uniform(0.0, e)
+                            for e in space.position_extent))
+            for oid in range(300)])
+        assert tree.check() == []
+        rid, rec = next((rid, rec) for rid, rec in leaf_records(tree).items()
+                        if rec.size)
+        # Changed in place at the same length: the rows still look valid.
+        rec.entries[0] = rec.entries[0]._replace(oid=-1)
+        assert rec._rows_valid()
+        assert tree.check() == [
+            f"record {rid} holds packed rows that differ from its entries"]
