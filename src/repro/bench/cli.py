@@ -7,27 +7,15 @@ Examples::
     stripes-bench fig12 --scale 0.05   # per-query costs, 5% scale
     stripes-bench all --scale 0.002    # everything, tiny and fast
     stripes-bench explain --query-type window --index tprstar
-    stripes-bench serve --json BENCH_PR3.json
-    stripes-bench update --json BENCH_PR4.json
+    stripes-bench crashmatrix --survival mix --json crash.json
 
 The ``explain`` subcommand builds a small index, replays a prefix of the
 workload, then runs one query under full tracing and prints the descent
 trace (nodes visited, quads INSIDE/OVERLAP/DISJUNCT, candidates refined
 away) together with the index's metrics snapshot.
 
-The ``serve`` subcommand benchmarks the concurrent query service
-(``repro.service``): it verifies sharded-vs-serial parity on the
-workload's queries, measures a serial-service baseline (1 shard, 1
-worker, no batching) and the sharded micro-batching service under
-closed-loop load, demonstrates explicit ``Overloaded`` rejection against
-a tiny admission queue, and optionally snapshots everything to JSON.
-
-The ``update`` subcommand reproduces the paper's update-cost experiment
-with the batched write path: it replays the same update stream per-point
-(the seed path, also the sequential-equivalence oracle), batched through
-``update_batch``, and per-point on the TPR/TPR* baselines, then gates on
-exact query-set parity between the batched and sequential STRIPES
-replicas.
+Service and engine throughput are measured by ``perfbench/run.py``
+(see ``perfbench/README.md``), not here.
 """
 
 from __future__ import annotations
@@ -202,340 +190,6 @@ def run_explain(index: str, query_type: str, n_objects: int,
     return 0
 
 
-#: Buffer-pool pages for the serve benchmark (split across shards).
-SERVE_POOL_PAGES = 512
-
-
-def run_serve(shards: int, workers: int, batch_max: int,
-              batch_window_ms: float, threads: int,
-              requests_per_thread: int, n_objects: int, n_operations: int,
-              policy_name: str, seed: int,
-              json_path: Optional[str] = None) -> int:
-    """Benchmark the concurrent query service against a serial baseline.
-
-    Prints (and optionally writes to ``json_path``) four measurements:
-
-    * **parity** -- every workload query evaluated on the sharded facade
-      vs a serial :class:`StripesIndex` fed the same operations;
-    * **serial-service baseline** -- the same queue/worker/Future
-      machinery with 1 shard, 1 worker and no batching (the honest
-      like-for-like "single-shard serial" number; the raw library-call
-      throughput is reported alongside);
-    * **sharded service under closed-loop load** -- throughput and exact
-      p50/p95/p99 latency at the tuned configuration;
-    * **overload** -- a deliberately tiny admission queue under burst
-      load, demonstrating explicit ``Overloaded`` rejection.
-    """
-    import json
-    import time as _time
-
-    from repro.obs import MetricsRegistry
-    from repro.service import (
-        HashShardPolicy,
-        LoadDriver,
-        ServiceConfig,
-        ShardedStripes,
-        StripesService,
-        VelocityBandShardPolicy,
-    )
-    from repro.workload.generator import WorkloadSpec, generate_workload
-    from repro.workload.operations import InsertOp, QueryOp, UpdateOp
-
-    spec = WorkloadSpec(n_objects=n_objects, n_operations=n_operations,
-                        update_fraction=0.2, seed=seed)
-    workload = generate_workload(spec)
-
-    def feed(ix):
-        ix.insert_batch(workload.initial)
-        queries = []
-        for op in workload.operations:
-            if isinstance(op, UpdateOp):
-                ix.update(op.old, op.new)
-            elif isinstance(op, InsertOp):
-                ix.insert(op.obj)
-            elif isinstance(op, QueryOp):
-                queries.append(op.query)
-        return queries
-
-    def make_policy():
-        if policy_name == "velocity":
-            return VelocityBandShardPolicy(spec.max_speed)
-        return HashShardPolicy()
-
-    serial = make_stripes(workload, SERVE_POOL_PAGES).index
-    queries = feed(serial)
-    if not queries:
-        print("workload produced no queries; raise --service-ops",
-              file=sys.stderr)
-        return 1
-    config = serial.config
-
-    # --- parity: sharded facade vs the serial index, exact id sets.
-    sharded = ShardedStripes(config, n_shards=shards, policy=make_policy(),
-                             pool_pages=SERVE_POOL_PAGES)
-    feed(sharded)
-    mismatches = sum(
-        1 for q in queries if set(serial.query(q)) != set(sharded.query(q)))
-    print(f"parity: {len(queries) - mismatches}/{len(queries)} queries "
-          f"match the serial index ({mismatches} mismatches)")
-    if mismatches:
-        print("PARITY FAILURE: sharded results diverge from serial",
-              file=sys.stderr)
-        return 1
-
-    # --- raw library-call throughput (no service machinery), for context.
-    t0 = _time.perf_counter()
-    n = 0
-    while _time.perf_counter() - t0 < 0.5:
-        for q in queries:
-            serial.query(q)
-            n += 1
-    library_qps = n / (_time.perf_counter() - t0)
-    print(f"library serial (direct calls):    {library_qps:>8,.0f} q/s")
-
-    def drive(service, n_threads, rpt):
-        with service:
-            LoadDriver(service, queries, n_threads=min(8, n_threads),
-                       requests_per_thread=30).run()  # warm-up
-            return LoadDriver(service, queries, n_threads=n_threads,
-                              requests_per_thread=rpt).run()
-
-    # --- serial-service baseline: same machinery, no sharding/batching.
-    base_sharded = ShardedStripes(config, n_shards=1,
-                                  pool_pages=SERVE_POOL_PAGES,
-                                  scan_threshold=0)
-    feed(base_sharded)
-    base_service = StripesService(base_sharded, ServiceConfig(
-        workers=1, max_queue=4096, batch_max=1, batch_window_s=0.0))
-    base = drive(base_service, 1, max(400, requests_per_thread))
-    print(f"serial service (1 shard/1 worker): {base.throughput_qps:>7,.0f} "
-          f"q/s   {base.format()}")
-
-    # --- the tuned sharded, micro-batching service under load.
-    registry = MetricsRegistry()
-    service = StripesService(sharded, ServiceConfig(
-        workers=workers, max_queue=4096, batch_max=batch_max,
-        batch_window_s=batch_window_ms / 1e3), registry=registry)
-    report = drive(service, threads, requests_per_thread)
-    ratio = report.throughput_qps / base.throughput_qps \
-        if base.throughput_qps else 0.0
-    batch_hist = registry.get("service_batch_size")
-    avg_batch = batch_hist.sum / batch_hist.count if batch_hist.count else 0.0
-    print(f"sharded service ({shards} shards/{workers} workers): "
-          f"{report.throughput_qps:>7,.0f} q/s   {report.format()}")
-    print(f"  avg batch {avg_batch:.1f} queries; "
-          f"{ratio:.2f}x the serial service")
-
-    # --- overload: a tiny queue under burst load must reject explicitly.
-    overload_sharded = ShardedStripes(config, n_shards=shards,
-                                      policy=make_policy(),
-                                      pool_pages=SERVE_POOL_PAGES)
-    feed(overload_sharded)
-    overload_service = StripesService(overload_sharded, ServiceConfig(
-        workers=1, max_queue=8, batch_max=4, batch_window_s=0.005))
-    overload = drive(overload_service, 32, 20)
-    print(f"overload demo (queue=8, burst of 32 threads): "
-          f"{overload.rejected} of {overload.offered} rejected "
-          f"with Overloaded")
-    if overload.rejected == 0:
-        print("OVERLOAD FAILURE: tiny queue produced no rejections",
-              file=sys.stderr)
-        return 1
-
-    if json_path:
-        snapshot = {
-            "workload": {"n_objects": n_objects,
-                         "n_operations": n_operations,
-                         "queries": len(queries), "seed": seed},
-            "config": {"shards": shards, "workers": workers,
-                       "batch_max": batch_max,
-                       "batch_window_ms": batch_window_ms,
-                       "threads": threads, "policy": policy_name,
-                       "requests_per_thread": requests_per_thread},
-            "parity": {"queries": len(queries), "mismatches": mismatches},
-            "library_serial_qps": round(library_qps, 1),
-            "serial_service": base.as_dict(),
-            "sharded_service": report.as_dict(),
-            "speedup_vs_serial_service": round(ratio, 3),
-            "avg_batch_size": round(avg_batch, 2),
-            "overload": {"offered": overload.offered,
-                         "rejected": overload.rejected},
-            "metrics": registry.to_dict(),
-        }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {json_path}")
-    return 0
-
-
-#: Buffer-pool pages for the update benchmark.
-UPDATE_POOL_PAGES = 1024
-
-
-def run_update(n_objects: int, n_operations: int, batch_size: int,
-               seed: int, json_path: Optional[str] = None) -> int:
-    """Reproduce the paper's update-cost experiment with the batched
-    write path against per-point baselines.
-
-    Four indexes replay the same update stream:
-
-    * **STRIPES serial** -- the seed per-point path (``insert`` /
-      ``update`` one object at a time);
-    * **STRIPES batched** -- ``insert_batch`` for the load and
-      ``update_batch`` in chunks of ``batch_size``;
-    * **TPR / TPR*** -- the paper's baselines, per-point (they have no
-      batch write path).
-
-    A parity gate then evaluates every workload query on the serial and
-    batched STRIPES indexes: the id sets must match exactly (the serial
-    replay *is* the sequential-equivalence oracle for the batched
-    writes).  Any mismatch fails the run.  Results -- including the
-    batched index's write-path metrics -- print as tables and optionally
-    land in ``json_path``.
-    """
-    import json
-    import time as _time
-
-    from repro.bench.runner import RunResult
-    from repro.obs import MetricsRegistry
-    from repro.workload.generator import WorkloadSpec, generate_workload
-    from repro.workload.operations import QueryOp, UpdateOp
-
-    spec = WorkloadSpec(n_objects=n_objects, n_operations=n_operations,
-                        update_fraction=0.8, seed=seed)
-    workload = generate_workload(spec)
-    updates = [op for op in workload.operations if isinstance(op, UpdateOp)]
-    queries = [op.query for op in workload.operations
-               if isinstance(op, QueryOp)]
-    if not updates or not queries:
-        print("workload produced no updates or no queries; raise "
-              "--update-ops", file=sys.stderr)
-        return 1
-    print(f"workload: {len(workload.initial)} objects, {len(updates)} "
-          f"updates, {len(queries)} queries (seed {seed})")
-
-    def timed(fn):
-        t0 = _time.perf_counter()
-        out = fn()
-        return out, _time.perf_counter() - t0
-
-    results = {}
-
-    def record(name, setup, load_s, update_s, removed):
-        results[name] = {
-            "load_s": round(load_s, 4),
-            "load_objects_per_s": round(len(workload.initial) / load_s, 1),
-            "update_s": round(update_s, 4),
-            "updates_per_s": round(len(updates) / update_s, 1),
-            "removed": removed,
-            "pages": setup.pages_in_use(),
-        }
-        print(f"{name:<16} load {load_s:7.3f}s   updates {update_s:7.3f}s   "
-              f"{len(updates) / update_s:>9,.0f} upd/s")
-
-    # --- STRIPES, seed per-point path (the sequential-replay oracle).
-    serial_setup = make_stripes(workload, UPDATE_POOL_PAGES,
-                                name="STRIPES serial")
-    serial = serial_setup.index
-
-    def load_serial():
-        for state in workload.initial:
-            serial.insert(state)
-
-    def replay_serial():
-        return sum(1 for op in updates if serial.update(op.old, op.new))
-
-    _, load_s = timed(load_serial)
-    removed, update_s = timed(replay_serial)
-    serial_ups = len(updates) / update_s
-    record("STRIPES serial", serial_setup, load_s, update_s, removed)
-
-    # --- STRIPES, batched write path, with write-path metrics attached.
-    registry = MetricsRegistry()
-    batched_setup = make_stripes(workload, UPDATE_POOL_PAGES,
-                                 name="STRIPES batched", registry=registry)
-    batched = batched_setup.index
-
-    def replay_batched():
-        n = 0
-        for i in range(0, len(updates), batch_size):
-            n += batched.update_batch(
-                [(op.old, op.new) for op in updates[i:i + batch_size]])
-        return n
-
-    _, load_s = timed(lambda: batched.insert_batch(workload.initial))
-    removed_b, update_s = timed(replay_batched)
-    batched_ups = len(updates) / update_s
-    record("STRIPES batched", batched_setup, load_s, update_s, removed_b)
-
-    # --- TPR / TPR* per-point baselines.
-    for maker, name in ((make_tpr, "TPR"), (make_tprstar, "TPR*")):
-        setup = maker(workload, UPDATE_POOL_PAGES, name=name)
-        idx = setup.index
-
-        def load_baseline(idx=idx):
-            for state in workload.initial:
-                idx.insert(state)
-
-        def replay_baseline(idx=idx):
-            return sum(1 for op in updates if idx.update(op.old, op.new))
-
-        _, load_s = timed(load_baseline)
-        removed_t, update_s = timed(replay_baseline)
-        record(name, setup, load_s, update_s, removed_t)
-
-    speedup = batched_ups / serial_ups
-    print(f"batched vs serial STRIPES: {speedup:.2f}x updates/s "
-          f"(batch size {batch_size}); removed {removed_b} vs {removed}")
-
-    # --- parity gate: batched writes must answer every query exactly
-    # like the sequential replay.
-    mismatches = sum(1 for q in queries
-                     if set(serial.query(q)) != set(batched.query(q)))
-    entries_match = len(serial) == len(batched)
-    print(f"parity: {len(queries) - mismatches}/{len(queries)} queries "
-          f"match sequential replay ({mismatches} mismatches); entry "
-          f"counts {'match' if entries_match else 'DIVERGE'} "
-          f"({len(batched)} vs {len(serial)})")
-
-    # --- the batched index's write-path effort, via its metrics.
-    fake = RunResult("STRIPES batched")
-    fake.phase_metrics["ops"] = registry.to_dict()
-    _print(render_write_table("write-path effort (batched index)",
-                              {"STRIPES batched": fake}))
-    _print(render_metrics_snapshot("insert latency (batched index):",
-                                   registry.to_dict(),
-                                   prefix="stripes_insert"))
-
-    if json_path:
-        snapshot = {
-            "workload": {"n_objects": n_objects,
-                         "n_operations": n_operations,
-                         "updates": len(updates),
-                         "queries": len(queries), "seed": seed},
-            "batch_size": batch_size,
-            "indexes": results,
-            "speedup_batched_vs_serial": round(speedup, 3),
-            "parity": {"queries": len(queries), "mismatches": mismatches,
-                       "entry_counts_match": entries_match},
-            "metrics": registry.to_dict(),
-        }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {json_path}")
-
-    if mismatches or not entries_match:
-        print("PARITY FAILURE: batched writes diverge from sequential "
-              "replay", file=sys.stderr)
-        return 1
-    if speedup < 2.0:
-        print(f"WARNING: batched speedup {speedup:.2f}x is below the 2x "
-              f"target", file=sys.stderr)
-    return 0
-
-
 def run_crashmatrix(seed: int, survival: str, write_stride: int,
                     failpoint_stride: int,
                     json_path: Optional[str] = None) -> int:
@@ -578,14 +232,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="stripes-bench",
         description="Regenerate the STRIPES paper's evaluation figures.")
     parser.add_argument("experiment",
-                        choices=EXPERIMENTS + ("all", "explain", "serve",
-                                               "update", "crashmatrix"),
+                        choices=EXPERIMENTS + ("all", "explain",
+                                               "crashmatrix"),
                         help="which figure/table to regenerate, 'explain' "
-                             "to trace one query descent, 'serve' to "
-                             "benchmark the concurrent query service, "
-                             "'update' to benchmark the batched write "
-                             "path, or 'crashmatrix' to fault-inject "
-                             "every checkpoint/recovery path")
+                             "to trace one query descent, or "
+                             "'crashmatrix' to fault-inject every "
+                             "checkpoint/recovery path")
     parser.add_argument("--scale", type=float, default=0.01,
                         help="fraction of the paper's experiment size "
                              "(default 0.01; 1.0 = paper scale)")
@@ -606,43 +258,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     explain_group.add_argument("--pool-pages", type=int, default=256,
                                help="buffer-pool pages for explain "
                                     "(default 256)")
-    serve_group = parser.add_argument_group("serve options")
-    serve_group.add_argument("--shards", type=int, default=4,
-                             help="shard count (default 4)")
-    serve_group.add_argument("--workers", type=int, default=4,
-                             help="service worker threads (default 4)")
-    serve_group.add_argument("--batch-max", type=int, default=16,
-                             help="max queries per micro-batch (default 16)")
-    serve_group.add_argument("--batch-window-ms", type=float, default=0.5,
-                             help="batch coalescing window in ms "
-                                  "(default 0.5)")
-    serve_group.add_argument("--threads", type=int, default=64,
-                             help="closed-loop client threads (default 64)")
-    serve_group.add_argument("--requests-per-thread", type=int, default=150,
-                             help="requests each client issues "
-                                  "(default 150)")
-    serve_group.add_argument("--service-objects", type=int, default=2000,
-                             help="workload objects for serve "
-                                  "(default 2000)")
-    serve_group.add_argument("--service-ops", type=int, default=400,
-                             help="workload operations for serve "
-                                  "(default 400)")
-    serve_group.add_argument("--policy", choices=("hash", "velocity"),
-                             default="hash",
-                             help="shard policy (default hash)")
-    serve_group.add_argument("--json", metavar="PATH", default=None,
-                             help="write the serve/update results to PATH "
-                                  "as JSON")
-    update_group = parser.add_argument_group("update options")
-    update_group.add_argument("--update-objects", type=int, default=4000,
-                              help="workload objects for the update "
-                                   "benchmark (default 4000)")
-    update_group.add_argument("--update-ops", type=int, default=3000,
-                              help="workload operations for the update "
-                                   "benchmark (default 3000)")
-    update_group.add_argument("--batch-size", type=int, default=512,
-                              help="updates per update_batch call "
-                                   "(default 512)")
     crash_group = parser.add_argument_group("crashmatrix options")
     crash_group.add_argument("--survival", default="every",
                              choices=("none", "all", "mix", "every"),
@@ -655,19 +270,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     crash_group.add_argument("--failpoint-stride", type=int, default=1,
                              help="thin the per-failpoint occurrence axis "
                                   "(default 1 = every occurrence)")
+    crash_group.add_argument("--json", metavar="PATH", default=None,
+                             help="write the crashmatrix reports to PATH "
+                                  "as JSON")
     args = parser.parse_args(argv)
     if args.experiment == "explain":
         return run_explain(args.index, args.query_type, args.n_objects,
                            args.pool_pages, args.seed)
-    if args.experiment == "serve":
-        return run_serve(args.shards, args.workers, args.batch_max,
-                         args.batch_window_ms, args.threads,
-                         args.requests_per_thread, args.service_objects,
-                         args.service_ops, args.policy, args.seed,
-                         json_path=args.json)
-    if args.experiment == "update":
-        return run_update(args.update_objects, args.update_ops,
-                          args.batch_size, args.seed, json_path=args.json)
     if args.experiment == "crashmatrix":
         return run_crashmatrix(args.seed, args.survival, args.write_stride,
                                args.failpoint_stride, json_path=args.json)

@@ -131,21 +131,16 @@ def render_latency_table(title: str, results: Dict[str, RunResult],
     return format_table(LATENCY_HEADERS, rows, title)
 
 
-def render_metrics_snapshot(title: str, snapshot: dict,
-                            prefix: str = "") -> str:
+def render_metrics_snapshot(title: str, snapshot: dict) -> str:
     """A metrics-registry snapshot (``MetricsRegistry.to_dict()``) as
     plain text: counters and gauges one per line, histograms as a
-    count/sum/percentile summary.  ``prefix`` filters by name prefix."""
+    count/sum/percentile summary."""
     lines = [title] if title else []
     for name in sorted(snapshot.get("counters", {})):
-        if name.startswith(prefix):
-            lines.append(f"  {name} = {snapshot['counters'][name]}")
+        lines.append(f"  {name} = {snapshot['counters'][name]}")
     for name in sorted(snapshot.get("gauges", {})):
-        if name.startswith(prefix):
-            lines.append(f"  {name} = {snapshot['gauges'][name]:g}")
+        lines.append(f"  {name} = {snapshot['gauges'][name]:g}")
     for name in sorted(snapshot.get("histograms", {})):
-        if not name.startswith(prefix):
-            continue
         h = snapshot["histograms"][name]
         lines.append(
             f"  {name}: count={h['count']} sum={h['sum']:.6g} "

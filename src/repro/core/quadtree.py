@@ -553,17 +553,6 @@ class DualQuadTree:
             rid = ext.overflow
         return entries
 
-    def _leaf_chain_size(self, leaf: LeafNode) -> int:
-        """Entries of the leaf including any overflow extensions, counted
-        without materializing them."""
-        total = leaf.size
-        rid = leaf.overflow
-        while rid != INVALID_RID:
-            ext = self.cache.get(rid)
-            total += ext.size
-            rid = ext.overflow
-        return total
-
     def _write_leaf_chain(self, rid: int, leaf: LeafNode,
                           entries: List[DualPoint]) -> None:
         """Rewrite the leaf and its overflow chain to hold ``entries``."""
@@ -776,17 +765,28 @@ class DualQuadTree:
         classifications, entries scanned -- at a small per-node cost; the
         default ``None`` leaves the hot path untouched.
         """
+        segments = self._segments(regions, self._report_subtree, trace)
+        self.counters.searches += 1
+        return self._resolve_columns(regions, segments, trace)
+
+    def _segments(self, regions: Tuple[QueryRegion2D, ...], report,
+                  trace: Optional[DescentTrace] = None) -> List[tuple]:
+        """Run the descent from the root and return its segments.
+
+        ``report(rid, is_leaf, segments, trace)`` queues an all-INSIDE
+        child: :meth:`_report_subtree` for a search, :meth:`_report_size`
+        for a count.
+        """
         if len(regions) != self.d:
             raise ValueError(
                 f"expected {self.d} query regions, got {len(regions)}")
-        self.counters.searches += 1
         segments: List[tuple] = []
         root = self.cache.get(self._root_rid)
         if self._root_is_leaf:
             self._defer_leaf(root, segments)
         else:
-            self._search_nonleaf(root, regions, segments, trace, 0)
-        return self._resolve_columns(regions, segments, trace)
+            self._search_nonleaf(root, regions, segments, report, trace, 0)
+        return segments
 
     def _resolve_columns(self, regions: Tuple[QueryRegion2D, ...],
                          segments: List[tuple],
@@ -850,7 +850,7 @@ class DualQuadTree:
 
     def _search_nonleaf(self, node: NonLeafNode,
                         regions: Tuple[QueryRegion2D, ...],
-                        segments: List[tuple],
+                        segments: List[tuple], report,
                         trace: Optional[DescentTrace], depth: int) -> None:
         """Classify ``node``'s children and queue their matching leaf
         records into ``segments``.
@@ -858,8 +858,8 @@ class DualQuadTree:
         Child ``base + c`` is visited for every ``(base, rb)`` in
         ``outer`` and ``(c, r)`` in ``inner`` -- the children no plane
         finds DISJUNCT, in ascending child index order.  It lies inside
-        the query body when ``rb`` and ``r`` are both INSIDE; then its
-        whole subtree is reported without further geometry tests.
+        the query body when ``rb`` and ``r`` are both INSIDE; then
+        ``report`` queues it without further geometry tests.
         """
         level1 = node.level + 1
         sides = self._sides_table
@@ -905,7 +905,6 @@ class DualQuadTree:
         frames_get = pool._frames.get
         frames_move = pool._frames.move_to_end
         iostats = pool.stats
-        report_subtree = self._report_subtree
         search_nonleaf = self._search_nonleaf
         depth1 = depth + 1
         for base, rb in outer:
@@ -915,8 +914,7 @@ class DualQuadTree:
                 if child_rid == invalid:
                     continue
                 if r is inside and rb is inside:
-                    report_subtree(child_rid, child_is_leaf[idx], segments,
-                                   trace)
+                    report(child_rid, child_is_leaf[idx], segments, trace)
                     continue
                 page_id = child_rid // MAX_SLOTS_PER_PAGE
                 page = frames_get(page_id)
@@ -929,7 +927,8 @@ class DualQuadTree:
                 else:
                     child = cache_get(child_rid)
                 if not child_is_leaf[idx]:
-                    search_nonleaf(child, regions, segments, trace, depth1)
+                    search_nonleaf(child, regions, segments, report, trace,
+                                   depth1)
                 elif child.overflow == invalid:
                     segments.append((child, False))
                 else:
@@ -1025,55 +1024,19 @@ class DualQuadTree:
     def count_in_regions(self, regions: Tuple[QueryRegion2D, ...]) -> int:
         """Number of entries inside the query body.
 
-        Unlike :meth:`search`, subtrees classified INSIDE contribute their
-        stored ``size`` counter (Section 4.2) without reading a single
-        leaf page -- the aggregate-query payoff of keeping sizes in
-        non-leaf nodes.  Exact for time-slice query regions; for
-        window/moving queries the result counts region candidates (a
-        superset of true matches, see :meth:`search`).
+        The search descent, except that an all-INSIDE child is read once
+        and counted by its stored ``size`` (Section 4.2): below a
+        non-leaf child no leaf page is read -- the aggregate-query
+        payoff of keeping sizes in non-leaf nodes.  The other queued
+        leaf records go through the search kernels.  Exact for
+        time-slice query regions; for window/moving queries the result
+        counts region candidates (a superset of true matches, see
+        :meth:`search_columns`).
         """
-        if len(regions) != self.d:
-            raise ValueError(
-                f"expected {self.d} query regions, got {len(regions)}")
-        if self._root_is_leaf:
-            leaf = self.cache.get(self._root_rid)
-            return self._count_leaf(leaf, regions)
-        return self._count_nonleaf(self._root_rid, regions)
-
-    def _count_leaf(self, leaf: LeafNode,
-                    regions: Tuple[QueryRegion2D, ...]) -> int:
-        """Matching entries in a leaf (and its overflow chain): the
-        search kernels over its packed rows."""
-        segments: List[tuple] = []
-        self._defer_leaf(leaf, segments)
-        return len(self._resolve_columns(regions, segments)[0])
-
-    def _count_nonleaf(self, rid: int,
-                       regions: Tuple[QueryRegion2D, ...]) -> int:
-        node = self.cache.get(rid)
-        sl_v, sl_p = self._child_sides(node.level + 1)
-        outer, inner, _ = self._plane_codes(node, regions, sl_v, sl_p)
-        inside = RelPos.INSIDE
-        total = 0
-        for base, rb in outer:
-            for c, r in inner:
-                idx = base + c
-                child_rid = node.children[idx]
-                if child_rid == INVALID_RID:
-                    continue
-                all_inside = r is inside and rb is inside
-                if node.child_is_leaf[idx]:
-                    leaf = self.cache.get(child_rid)
-                    if all_inside:
-                        total += self._leaf_chain_size(leaf)
-                    else:
-                        total += self._count_leaf(leaf, regions)
-                elif all_inside:
-                    # The stored subtree size: no leaf pages are read.
-                    total += self.cache.get(child_rid).size
-                else:
-                    total += self._count_nonleaf(child_rid, regions)
-        return total
+        segments = self._segments(regions, self._report_size)
+        pending = [seg for seg in segments if not seg[1]]
+        return (sum(rec.size for rec, lit in segments if lit)
+                + len(self._resolve_columns(regions, pending)[0]))
 
     def _report_subtree(self, rid: int, is_leaf: bool,
                         segments: List[tuple],
@@ -1089,6 +1052,17 @@ class DualQuadTree:
         for idx in node.present_children():
             self._report_subtree(node.children[idx], node.child_is_leaf[idx],
                                  segments, trace)
+
+    def _report_size(self, rid: int, is_leaf: bool, segments: List[tuple],
+                     trace: Optional[DescentTrace] = None) -> None:
+        """Queue an all-INSIDE child as lit segments for a count: the
+        record alone, whose ``size`` covers its subtree, or a leaf with
+        its overflow chain."""
+        rec = self.cache.get(rid)
+        if is_leaf:
+            self._defer_leaf(rec, segments, lit=True)
+        else:
+            segments.append((rec, True))
 
     # ------------------------------------------------------------------ #
     # Bulk access, teardown, statistics

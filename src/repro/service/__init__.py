@@ -4,15 +4,18 @@ Turns the single-threaded library into a sharded, concurrent service:
 
 * :class:`repro.service.sharding.ShardedStripes` -- N independent
   :class:`repro.core.stripes.StripesIndex` shards (private pagefile +
-  buffer pool each) behind a pluggable :class:`ShardPolicy`, with
-  per-shard reader/writer locks and fan-out query + merge.
+  buffer pool each), placed by a hash of the object id
+  (:func:`repro.service.sharding.shard_of`), with per-shard
+  reader/writer locks and fan-out query + merge.
 * :class:`repro.service.service.StripesService` -- a worker thread pool
   behind a bounded request queue with micro-batching (concurrent queries
   coalesce into one vectorized ``query_batch`` per shard), explicit
   ``Overloaded`` rejection, per-request deadlines, and graceful drain.
 * :class:`repro.service.client.ServiceClient` /
   :class:`repro.service.client.LoadDriver` -- the synchronous handle and
-  the closed-loop load generator behind ``stripes-bench serve``.
+  a closed-loop load generator (throughput, exact latency percentiles,
+  rejections) for tests and ad-hoc load runs; ``perfbench/`` is the
+  benchmark.
 """
 
 from repro.service.client import LoadDriver, LoadReport, ServiceClient
@@ -24,19 +27,11 @@ from repro.service.service import (
     ServiceConfig,
     StripesService,
 )
-from repro.service.sharding import (
-    HashShardPolicy,
-    RWLock,
-    ShardedStripes,
-    ShardPolicy,
-    VelocityBandShardPolicy,
-)
+from repro.service.sharding import RWLock, ShardedStripes, shard_of
 
 __all__ = [
     "ShardedStripes",
-    "ShardPolicy",
-    "HashShardPolicy",
-    "VelocityBandShardPolicy",
+    "shard_of",
     "RWLock",
     "StripesService",
     "ServiceConfig",

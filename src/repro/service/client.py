@@ -11,8 +11,7 @@ issues the next -- classic closed-loop load generation) hammer the
 service for a fixed number of requests per thread, recording per-request
 latencies.  The resulting :class:`LoadReport` carries throughput and
 exact p50/p95/p99 latencies (computed from the raw sample list, not a
-histogram) plus rejection/timeout counts, which is what ``stripes-bench
-serve`` prints and snapshots.
+histogram) plus rejection/timeout counts.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.query.types import PredictiveQuery
 from repro.service.service import (
@@ -71,20 +70,6 @@ class LoadReport:
     p95_ms: float = 0.0
     p99_ms: float = 0.0
     mean_ms: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in (
-            "threads", "offered", "completed", "rejected", "timeouts",
-            "errors", "duration_s", "throughput_qps", "p50_ms", "p95_ms",
-            "p99_ms", "mean_ms")}
-
-    def format(self) -> str:
-        return (f"{self.completed}/{self.offered} ok "
-                f"({self.rejected} rejected, {self.timeouts} timed out, "
-                f"{self.errors} errors) in {self.duration_s:.2f}s -> "
-                f"{self.throughput_qps:,.0f} q/s; latency "
-                f"p50 {self.p50_ms:.2f} / p95 {self.p95_ms:.2f} / "
-                f"p99 {self.p99_ms:.2f} ms")
 
 
 @dataclass

@@ -2,16 +2,14 @@
 
 :class:`ShardedStripes` partitions moving objects across ``n_shards``
 independent :class:`repro.core.stripes.StripesIndex` instances -- each
-with its own pagefile and buffer pool -- under a pluggable
-:class:`ShardPolicy`.  The decomposition follows the velocity/speed
-partitioning line of work (Nguyen et al., *Boosting Moving Object
-Indexing through Velocity Partitioning*; Xu et al., *Speed Partitioning
-for Indexing Moving Objects*), which split a moving-object index into
-per-partition sub-indexes to shrink each partition's dead space.  Here
-every shard is built with the same global :class:`StripesConfig`, so a
-shard's dual space is as large as the unpartitioned index's; what the
-split buys is private storage, so writers on one shard never block
-readers on another.
+with its own pagefile and buffer pool -- by a hash of the object id
+(:func:`shard_of`).  Every shard is built with the same global
+:class:`StripesConfig`, so a shard's dual space is as large as the
+unpartitioned index's; what the split buys is private storage, so
+writers on one shard never block readers on another.  (Partitioning by
+speed instead, as the velocity/speed-partitioning papers do, read more
+pages per query here even with a velocity bound per band; see
+EXPERIMENTS.md.)
 
 Lock model (the single-writer-per-shard invariant)
 --------------------------------------------------
@@ -44,7 +42,6 @@ entries.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from contextlib import contextmanager
@@ -57,8 +54,7 @@ from repro.storage.buffer_pool import DEFAULT_POOL_PAGES, BufferPool
 from repro.storage.faults import TransientIOError
 from repro.storage.pagefile import InMemoryPageFile, PageFile
 
-__all__ = ["ShardPolicy", "HashShardPolicy", "VelocityBandShardPolicy",
-           "RWLock", "ShardedStripes", "ShardTransientError"]
+__all__ = ["shard_of", "RWLock", "ShardedStripes", "ShardTransientError"]
 
 
 class ShardTransientError(RuntimeError):
@@ -78,50 +74,14 @@ class ShardTransientError(RuntimeError):
 _HASH_MULTIPLIER = 2654435761
 
 
-class ShardPolicy:
-    """Maps a moving-object state to a shard id in ``[0, n_shards)``.
+def shard_of(oid: int, n_shards: int) -> int:
+    """The shard in ``[0, n_shards)`` that holds object ``oid``.
 
-    Policies must be *pure* (same state -> same shard, forever): an
-    update routes its old entry's delete by re-applying the policy to the
-    old state, so a policy that changed its mind would strand entries.
+    A pure function of the id: an update's old and new states -- one
+    object -- always land on the same shard, and an entry is deleted
+    from the shard it was inserted into.
     """
-
-    def shard_of(self, obj: MovingObjectState, n_shards: int) -> int:
-        raise NotImplementedError
-
-
-class HashShardPolicy(ShardPolicy):
-    """Uniform hash of the object id (the default)."""
-
-    def shard_of(self, obj: MovingObjectState, n_shards: int) -> int:
-        return ((obj.oid * _HASH_MULTIPLIER) & 0xFFFFFFFF) % n_shards
-
-
-class VelocityBandShardPolicy(ShardPolicy):
-    """Partition by current speed into equal-width bands.
-
-    Objects of similar speed land together.  Every shard is still built
-    with the facade's global config, so its dual-space velocity extent
-    -- and the dead space a query region sweeps -- is the unpartitioned
-    index's, not the per-band fraction the velocity/speed-partitioning
-    papers exploit; a shard only holds fewer objects.  ``max_speed`` is
-    the workload's speed bound (``|v| <= max_speed``); faster objects
-    clamp into the top band.  Note the shard is a function of the
-    *state*: an object whose update crosses a band boundary migrates
-    (its update becomes a delete on the old band's shard and an insert
-    on the new one's), which the facade handles by routing the two
-    halves independently.
-    """
-
-    def __init__(self, max_speed: float):
-        if max_speed <= 0:
-            raise ValueError(f"max_speed must be positive, got {max_speed}")
-        self.max_speed = float(max_speed)
-
-    def shard_of(self, obj: MovingObjectState, n_shards: int) -> int:
-        speed = math.sqrt(sum(v * v for v in obj.vel))
-        band = int(speed / self.max_speed * n_shards)
-        return min(band, n_shards - 1)
+    return ((oid * _HASH_MULTIPLIER) & 0xFFFFFFFF) % n_shards
 
 
 class RWLock:
@@ -183,9 +143,10 @@ class _Shard:
 
 
 #: Per-shard live-entry count above which query batches fall back from
-#: the flat columnar engine to the tree descent.  Crossover measured on
-#: the BENCH_PR2 workload shape: the O(B x N) flat evaluation beats B
-#: pruned descents up to high-thousands of entries per shard.
+#: the flat columnar engine to the tree descent.  The engine table in
+#: ROADMAP.md (4 hash shards, batches of 16) has the O(B x N) flat
+#: evaluation ahead of B pruned descents at 500 and 5,000 entries per
+#: shard (7,146 vs 1,662 and 1,450 vs 491 queries/s).
 DEFAULT_SCAN_THRESHOLD = 8192
 
 
@@ -199,7 +160,6 @@ class ShardedStripes:
     """
 
     def __init__(self, config: StripesConfig, n_shards: int = 4,
-                 policy: Optional[ShardPolicy] = None,
                  pool_pages: int = DEFAULT_POOL_PAGES,
                  scan_threshold: int = DEFAULT_SCAN_THRESHOLD,
                  refine: bool = True,
@@ -209,7 +169,6 @@ class ShardedStripes:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
         self.config = config
         self.n_shards = n_shards
-        self.policy = policy if policy is not None else HashShardPolicy()
         self.scan_threshold = scan_threshold
         self.refine = refine
         if pagefile_factory is None:
@@ -282,7 +241,6 @@ class ShardedStripes:
 
     def __repr__(self) -> str:
         return (f"ShardedStripes(n_shards={self.n_shards}, "
-                f"policy={type(self.policy).__name__}, "
                 f"entries={self.shard_sizes()})")
 
     # ---------------------------------------------------------------- #
@@ -311,7 +269,7 @@ class ShardedStripes:
     # ---------------------------------------------------------------- #
 
     def _shard_for(self, obj: MovingObjectState) -> _Shard:
-        return self._shards[self.policy.shard_of(obj, self.n_shards)]
+        return self._shards[shard_of(obj.oid, self.n_shards)]
 
     def _insert_locked(self, shard: _Shard, obj: MovingObjectState) -> None:
         index = shard.index
@@ -354,7 +312,7 @@ class ShardedStripes:
         by_shard: Dict[int, List[MovingObjectState]] = {}
         for obj in objs:
             by_shard.setdefault(
-                self.policy.shard_of(obj, self.n_shards), []).append(obj)
+                shard_of(obj.oid, self.n_shards), []).append(obj)
         for sid, group in by_shard.items():
             shard = self._shards[sid]
             with shard.lock.write():
@@ -404,7 +362,7 @@ class ShardedStripes:
         by_shard: Dict[int, List[MovingObjectState]] = {}
         for obj in objs:
             by_shard.setdefault(
-                self.policy.shard_of(obj, self.n_shards), []).append(obj)
+                shard_of(obj.oid, self.n_shards), []).append(obj)
         removed = 0
         for sid, group in by_shard.items():
             shard = self._shards[sid]
@@ -451,9 +409,9 @@ class ShardedStripes:
         for old, new, _ in pairs:
             if old is not None:
                 deletes.setdefault(
-                    self.policy.shard_of(old, self.n_shards), []).append(old)
+                    shard_of(old.oid, self.n_shards), []).append(old)
             inserts.setdefault(
-                self.policy.shard_of(new, self.n_shards), []).append(new)
+                shard_of(new.oid, self.n_shards), []).append(new)
         removed = 0
         for sid, group in deletes.items():
             shard = self._shards[sid]
@@ -478,9 +436,8 @@ class ShardedStripes:
 
         Matches ``StripesIndex.update`` semantics: the window rotation
         rides on the *arrival* of the update, before the old entry is
-        looked up.  When the policy maps old and new to different shards
-        (a velocity-band migration), the two halves run under their own
-        shards' locks.
+        looked up.  ``old`` and ``new`` share a shard unless their ids
+        differ; then the two halves run under their own shards' locks.
         """
         self._advance_windows(new.t)
         new_shard = self._shard_for(new)

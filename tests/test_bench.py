@@ -205,3 +205,12 @@ class TestCLI:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["nonsense"])
+
+    @pytest.mark.parametrize("retired", ["serve", "update"])
+    def test_retired_bench_writers_rejected(self, retired, capsys):
+        """Service and write-path throughput live in perfbench; their
+        parity and overload checks live in the test suite."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([retired])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

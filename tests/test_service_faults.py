@@ -10,7 +10,7 @@ from repro.core.stripes import StripesConfig
 from repro.obs import MetricsRegistry
 from repro.query.types import MovingObjectState, TimeSliceQuery
 from repro.service.service import ServiceConfig, StripesService
-from repro.service.sharding import (HashShardPolicy, ShardedStripes,
+from repro.service.sharding import (ShardedStripes, shard_of,
                                     ShardTransientError)
 from repro.storage.faults import FaultyPageFile, TransientIOError
 from repro.storage.pagefile import InMemoryPageFile
@@ -102,7 +102,6 @@ class TestShardShedding:
         sharded, _ = _sharded_with_faults()
         for state in _states(300, rng):
             sharded.insert(state)
-        policy = HashShardPolicy()
         full = sorted(sharded.query(PROBE))
 
         # Shard 0 fails forever: after the retry budget the service must
@@ -114,9 +113,7 @@ class TestShardShedding:
             assert sharded.degraded_shards() == frozenset({0})
             # Exactly the healthy shard's ids: a strict subset of full.
             assert set(partial) < set(full)
-            assert all(policy.shard_of(
-                MovingObjectState(oid, (0, 0), (0, 0), 0), 2) == 1
-                for oid in partial)
+            assert all(shard_of(oid, 2) == 1 for oid in partial)
             # Later queries skip the dead shard without new retries.
             retries_after_shed = registry.counter(
                 "service_io_retries_total").value

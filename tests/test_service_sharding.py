@@ -1,4 +1,4 @@
-"""Tests for the sharded STRIPES facade: shard policies, the
+"""Tests for the sharded STRIPES facade: hash placement, the
 reader/writer lock, fan-out parity against a serial index, and window
 rotation across shards."""
 
@@ -10,12 +10,7 @@ import pytest
 
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.query.types import MovingObjectState, TimeSliceQuery, WindowQuery
-from repro.service import (
-    HashShardPolicy,
-    RWLock,
-    ShardedStripes,
-    VelocityBandShardPolicy,
-)
+from repro.service import RWLock, ShardedStripes, shard_of
 
 CONFIG = StripesConfig(vmax=(3.0, 3.0), pmax=(200.0, 200.0), lifetime=30.0)
 
@@ -41,35 +36,20 @@ def random_query(rng, now, config=CONFIG):
 
 class TestShardPolicies:
     def test_hash_policy_covers_all_shards(self):
-        policy = HashShardPolicy()
-        rng = random.Random(1)
         hits = set()
         for oid in range(200):
-            sid = policy.shard_of(random_state(rng, oid, 0.0), 4)
+            sid = shard_of(oid, 4)
             assert 0 <= sid < 4
             hits.add(sid)
         assert hits == {0, 1, 2, 3}
 
     def test_hash_policy_is_pure(self):
-        policy = HashShardPolicy()
-        obj = MovingObjectState(42, (1.0, 2.0), (0.5, -0.5), 0.0)
-        assert policy.shard_of(obj, 8) == policy.shard_of(obj, 8)
-
-    def test_velocity_policy_bands_by_speed(self):
-        policy = VelocityBandShardPolicy(max_speed=4.0)
-        slow = MovingObjectState(1, (0.0, 0.0), (0.1, 0.0), 0.0)
-        fast = MovingObjectState(2, (0.0, 0.0), (3.9, 0.0), 0.0)
-        assert policy.shard_of(slow, 4) == 0
-        assert policy.shard_of(fast, 4) == 3
-
-    def test_velocity_policy_clamps_over_limit(self):
-        policy = VelocityBandShardPolicy(max_speed=1.0)
-        over = MovingObjectState(3, (0.0, 0.0), (5.0, 5.0), 0.0)
-        assert policy.shard_of(over, 4) == 3
-
-    def test_velocity_policy_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
-            VelocityBandShardPolicy(max_speed=0.0)
+        assert shard_of(42, 8) == shard_of(42, 8)
+        # Pinned: a different hash would move stored objects between
+        # shards.
+        assert [shard_of(oid, 7) for oid in (1, 2, 3, 10, 100, 12345,
+                                              10 ** 6)] == [5, 6, 4, 5, 4,
+                                                            3, 0]
 
 
 class TestRWLock:
@@ -177,15 +157,11 @@ def build_operations(rng, n_objects=120, n_updates=150, t_spread=20.0):
     return ops
 
 
-@pytest.mark.parametrize("policy_factory", [
-    lambda: HashShardPolicy(),
-    lambda: VelocityBandShardPolicy(max_speed=3.0),
-], ids=["hash", "velocity"])
-def test_sharded_matches_serial(policy_factory):
+def test_sharded_matches_serial():
     rng = random.Random(11)
     ops = build_operations(rng)
     serial = StripesIndex(CONFIG)
-    sharded = ShardedStripes(CONFIG, n_shards=4, policy=policy_factory())
+    sharded = ShardedStripes(CONFIG, n_shards=4)
     feed(serial, ops)
     feed(sharded, ops)
     assert len(sharded) == len(serial)
@@ -270,22 +246,6 @@ def test_rotation_propagates_to_quiet_shards():
     assert len(sharded) == len(serial) == 1
     query = TimeSliceQuery((0.0, 0.0), CONFIG.pmax, 2 * lifetime + 2.0)
     assert set(sharded.query(query)) == set(serial.query(query))
-
-
-def test_velocity_band_migration_on_update():
-    """An update that crosses a speed band moves the entry between
-    shards without losing or duplicating it."""
-    policy = VelocityBandShardPolicy(max_speed=3.0)
-    sharded = ShardedStripes(CONFIG, n_shards=4, policy=policy)
-    slow = MovingObjectState(7, (50.0, 50.0), (0.1, 0.0), 0.0)
-    fast = MovingObjectState(7, (60.0, 50.0), (2.9, 0.0), 5.0)
-    sharded.insert(slow)
-    assert sharded.shard_sizes()[policy.shard_of(slow, 4)] == 1
-    sharded.update(slow, fast)
-    sizes = sharded.shard_sizes()
-    assert sum(sizes) == 1
-    assert sizes[policy.shard_of(fast, 4)] == 1
-    assert sizes[policy.shard_of(slow, 4)] == 0
 
 
 def test_introspection_and_validation():
