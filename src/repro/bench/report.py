@@ -197,7 +197,10 @@ def render_write_table(title: str, results: Dict[str, RunResult]) -> str:
     ``*_insert_latency_seconds`` histogram out of each result's final
     metrics snapshot (rows show ``-`` for indexes run without a registry
     or without those instruments, e.g. the TPR trees and the scan
-    baseline).
+    baseline).  STRIPES observes that histogram once per sub-index
+    insert group, so in the paper runs, which replay one ``update`` at
+    a time, each observation is one update's insert half (the initial
+    load adds one per lifetime window it spans).
     """
     rows = []
     for name, result in results.items():
