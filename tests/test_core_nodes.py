@@ -411,9 +411,11 @@ class TestPackedRowSearch:
 
 class TestCheckGuardsPackedRows:
     """``check()`` compares every record's valid rows with the packing of
-    its entries, so stale rows fail the checker, not only the answers."""
+    its entries and its kept rows with the rows on its page, so stale
+    rows fail the checker, not only the answers."""
 
-    def test_stale_rows_fail_check(self):
+    @staticmethod
+    def _tree():
         space = DualSpace(vmax=(3.0, 3.0), pmax=(100.0, 100.0),
                           lifetime=10.0)
         tree = DualQuadTree(space, RecordStore(BufferPool(
@@ -427,6 +429,10 @@ class TestCheckGuardsPackedRows:
                             for e in space.position_extent))
             for oid in range(300)])
         assert tree.check() == []
+        return tree
+
+    def test_stale_rows_fail_check(self):
+        tree = self._tree()
         rid, rec = next((rid, rec) for rid, rec in leaf_records(tree).items()
                         if rec.size)
         # Changed in place at the same length: the rows still look valid.
@@ -434,3 +440,19 @@ class TestCheckGuardsPackedRows:
         assert rec._rows_valid()
         assert tree.check() == [
             f"record {rid} holds packed rows that differ from its entries"]
+
+    @pytest.mark.parametrize("edit", ["remove", "append"])
+    def test_unwritten_row_edit_fails_check(self, edit):
+        """Writes edit a record's kept rows; rows edited but never
+        written differ from the page and fail the checker."""
+        tree = self._tree()
+        rid, rec = next((rid, rec) for rid, rec in leaf_records(tree).items()
+                        if rec.size)
+        first = tree.codec._unpack_entries(tree.codec.rows(rec))[0]
+        if edit == "remove":
+            assert tree.codec.remove_rows(rec, [first]) == [True]
+        else:
+            tree.codec.append_rows(rec, [first._replace(oid=-1)])
+        assert rec._entries is None
+        assert (f"record {rid} keeps packed rows that differ from its page"
+                in tree.check())
