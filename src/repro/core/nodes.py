@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -50,6 +51,10 @@ one pre-compiled ``struct`` call instead of a per-entry pack + join."""
 _TAG_NONLEAF = 0
 _TAG_LEAF = 1
 _TAG_EXTENSION = 2
+
+_MASK_BITS = tuple(tuple(bool(byte >> bit & 1) for bit in range(8))
+                   for byte in range(256))
+"""The eight is-leaf flags of each mask byte value, lowest bit first."""
 
 
 @dataclass
@@ -308,18 +313,15 @@ class NodeCodec:
             *node.children, bytes(mask))
 
     def _deserialize_nonleaf(self, raw: bytes) -> NonLeafNode:
-        parts = self._nonleaf.unpack(raw[: self._nonleaf.size])
-        _, level, size = parts[0], parts[1], parts[2]
-        offset = 3
-        v_corner = tuple(parts[offset: offset + self.d])
-        p_corner = tuple(parts[offset + self.d: offset + 2 * self.d])
-        offset += 2 * self.d
-        children = list(parts[offset: offset + self.fanout])
-        mask = parts[offset + self.fanout]
-        child_is_leaf = [bool(mask[i >> 3] & (1 << (i & 7)))
-                         for i in range(self.fanout)]
-        return NonLeafNode(level, v_corner, p_corner, children,
-                           child_is_leaf, size)
+        parts = self._nonleaf.unpack_from(raw)
+        d = self.d
+        end = 3 + 2 * d
+        child_is_leaf = list(chain.from_iterable(
+            map(_MASK_BITS.__getitem__, parts[-1])))
+        del child_is_leaf[self.fanout:]
+        return NonLeafNode(parts[1], parts[3: 3 + d], parts[3 + d: end],
+                           list(parts[end: end + self.fanout]),
+                           child_is_leaf, parts[2])
 
     def _pack_entries(self, entries: List[DualPoint]) -> bytes:
         n = len(entries)
@@ -431,14 +433,19 @@ class NodeCodec:
             *node.v_corner, *node.p_corner), node)
 
     def _deserialize_leaf(self, raw: bytes) -> LeafNode:
-        size = self._leaf_header.size
-        parts = self._leaf_header.unpack(raw[:size])
-        _, level, count, overflow = parts[:4]
-        v_corner = tuple(parts[4: 4 + self.d])
-        p_corner = tuple(parts[4 + self.d: 4 + 2 * self.d])
-        leaf = LeafNode(level, v_corner, p_corner, None, overflow)
-        leaf._keep_rows(self, raw[size: size + count * self.entry_size],
-                        count)
+        header = self._leaf_header
+        parts = header.unpack_from(raw)
+        d = self.d
+        count = parts[2]
+        leaf = LeafNode.__new__(LeafNode)
+        leaf.level = parts[1]
+        leaf.overflow = parts[3]
+        leaf.v_corner = parts[4: 4 + d]
+        leaf.p_corner = parts[4 + d: 4 + 2 * d]
+        # Rows are bytes of their own: ``raw`` may be a view of a frame
+        # that later writes overwrite in place.
+        leaf._keep_rows(self, bytes(
+            raw[header.size: header.size + count * self._entry.size]), count)
         return leaf
 
     def _serialize_extension(self, node: LeafExtension) -> bytes:
@@ -446,9 +453,10 @@ class NodeCodec:
             _TAG_EXTENSION, node.size, node.overflow), node)
 
     def _deserialize_extension(self, raw: bytes) -> LeafExtension:
-        size = self._ext_header.size
-        _, count, overflow = self._ext_header.unpack(raw[:size])
-        ext = LeafExtension(None, overflow)
-        ext._keep_rows(self, raw[size: size + count * self.entry_size],
-                       count)
+        header = self._ext_header
+        _, count, overflow = header.unpack_from(raw)
+        ext = LeafExtension.__new__(LeafExtension)
+        ext.overflow = overflow
+        ext._keep_rows(self, bytes(
+            raw[header.size: header.size + count * self._entry.size]), count)
         return ext

@@ -11,6 +11,14 @@ Index code interacts with the pool through short pin/unpin windows::
     with pool.pinned(page_id) as page:
         ...read or mutate page.data...
 
+A page enters the pool one way, :meth:`BufferPool._load`: it evicts the
+oldest unpinned frame when the pool is full (a dirty victim is written
+back, write guard first), reads the page and counts one logical and one
+physical read.  :meth:`BufferPool.fetch` is a resident hit or a load,
+then a pin; :meth:`NodeCache.get <repro.storage.node_store.NodeCache.get>`
+calls the load itself on a miss.  :meth:`BufferPool.new_page` evicts
+through the same routine.
+
 A frame is the only in-memory home of its page: the node cache keeps
 decoded records on the :class:`Page` itself (``Page.decoded``), so an
 evicted or freed page takes its decoded nodes with it and re-reading one
@@ -151,17 +159,13 @@ class BufferPool:
     def fetch(self, page_id: int) -> Page:
         """Return the page, pinned.  Counts a logical read, and a physical
         read when the page was not resident.  Callers must unpin."""
-        self.stats.logical_reads += 1
         page = self._frames.get(page_id)
         if page is None:
-            self._make_room()
-            data = self.pagefile.read(page_id)
-            self.stats.physical_reads += 1
-            page = Page(page_id, data, self.pagefile.page_size)
-            self._frames[page_id] = page
+            page = self._load(page_id)
         else:
+            self.stats.logical_reads += 1
             self._frames.move_to_end(page_id)
-        page.pin()
+        page.pin_count += 1
         return page
 
     def new_page(self) -> Page:
@@ -246,38 +250,51 @@ class BufferPool:
         if pinned:
             raise RuntimeError(f"cannot clear pool with pinned pages {pinned}")
         self.flush_all()
-        for page_id in list(self._frames):
-            self._evict(page_id)
+        self.stats.evictions += len(self._frames)
+        self._frames.clear()
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
+    def _load(self, page_id: int) -> Page:
+        """Bring non-resident ``page_id`` into a frame, at the MRU end,
+        and return it unpinned.
+
+        This is the one way a page is read into the pool: it counts one
+        logical and one physical read, after :meth:`_make_room` made a
+        frame free.  A failed read installs nothing and counts no read.
+        """
+        self._make_room()
+        data = self.pagefile.read(page_id)
+        stats = self.stats
+        stats.logical_reads += 1
+        stats.physical_reads += 1
+        page = self._frames[page_id] = Page(page_id, data,
+                                            self.pagefile.page_size)
+        return page
+
     def _make_room(self) -> None:
-        """Evict LRU unpinned pages until a frame is available."""
-        while len(self._frames) >= self.capacity:
-            victim_id = self._pick_victim()
-            self._evict(victim_id)
+        """Evict the oldest unpinned frames until one is free.
 
-    def _pick_victim(self) -> int:
-        for page_id, page in self._frames.items():  # oldest first
-            if not page.is_pinned:
-                return page_id
-        raise BufferPoolFullError(
-            f"all {self.capacity} frames are pinned; cannot evict"
-        )
-
-    def _evict(self, page_id: int) -> None:
-        # Write back *before* dropping the frame: if the write (or its
-        # guard) raises -- a transient IO fault, say -- the page stays
-        # resident and dirty, and a retried operation still sees it.
-        # The old pop-then-write order silently lost the page's bytes.
-        page = self._frames[page_id]
-        if page.dirty:
-            self._write_back(page)
-            page.dirty = False
-        del self._frames[page_id]
-        self.stats.evictions += 1
+        A dirty victim is written back (guard first) *before* its frame
+        is dropped: if the write or its guard raises -- a transient IO
+        fault, say -- the page stays resident and dirty, and a retried
+        operation still sees it.
+        """
+        frames = self._frames
+        while len(frames) >= self.capacity:
+            for page in frames.values():  # oldest first
+                if not page.pin_count:
+                    break
+            else:
+                raise BufferPoolFullError(
+                    f"all {self.capacity} frames are pinned; cannot evict")
+            if page.dirty:
+                self._write_back(page)
+                page.dirty = False
+            del frames[page.page_id]
+            self.stats.evictions += 1
 
     def __repr__(self) -> str:
         return (

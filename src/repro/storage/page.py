@@ -69,13 +69,13 @@ class Page:
         self.dirty = True
 
     def read(self, offset: int, length: int) -> bytes:
-        """Return ``length`` bytes starting at ``offset``."""
+        """Return a copy of the ``length`` bytes starting at ``offset``."""
         end = offset + length
         if offset < 0 or end > len(self.data):
             raise ValueError(
                 f"read [{offset}, {end}) out of page bounds 0..{len(self.data)}"
             )
-        return bytes(self.data[offset:end])
+        return bytes(memoryview(self.data)[offset:end])
 
     def __repr__(self) -> str:
         return (

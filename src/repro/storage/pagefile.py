@@ -48,7 +48,10 @@ class PageFile(abc.ABC):
         if page_size <= 0:
             raise ValueError("page_size must be positive")
         self.page_size = page_size
+        # The free list orders reuse; the set answers the double-free
+        # check without scanning it.
         self._free_list: list[int] = []
+        self._free_set: set[int] = set()
         self._num_pages = 0
 
     @property
@@ -64,7 +67,9 @@ class PageFile(abc.ABC):
     def allocate(self) -> int:
         """Allocate a page and return its id, reusing freed pages first."""
         if self._free_list:
-            return self._free_list.pop()
+            page_id = self._free_list.pop()
+            self._free_set.discard(page_id)
+            return page_id
         page_id = self._num_pages
         self._num_pages += 1
         self._extend_to(self._num_pages)
@@ -73,13 +78,15 @@ class PageFile(abc.ABC):
     def free(self, page_id: int) -> None:
         """Return ``page_id`` to the free list.  Double frees are rejected."""
         self._check_page_id(page_id)
-        if page_id in self._free_list:
+        if page_id in self._free_set:
             raise ValueError(f"page {page_id} already freed")
         self._free_list.append(page_id)
+        self._free_set.add(page_id)
 
     def read(self, page_id: int) -> bytearray:
         """Read a full page; returns a fresh buffer the caller owns."""
-        self._check_page_id(page_id)
+        if not 0 <= page_id < self._num_pages:  # the check raises
+            self._check_page_id(page_id)
         return self._read_page(page_id)
 
     def write(self, page_id: int, data: bytes) -> None:

@@ -137,6 +137,68 @@ class TestRoundTrips:
         assert node.present_children() == [3, 7]
 
 
+class TestDecodeAnyBuffer:
+    """``deserialize(serialize(n)) == n`` for every record kind, for
+    d = 1, 2, 3 (is-leaf masks of 1, 2 and 8 bytes) in both float
+    widths, whatever bytes-like object holds the record: ``bytes``, a
+    ``bytearray`` (the node cache's copy out of a frame) or a
+    ``memoryview`` slice of a larger buffer, each followed by the
+    undefined tail a record slot leaves after its payload."""
+
+    @staticmethod
+    def node(data, kind, d, float32):
+        coord = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False,
+                          width=32 if float32 else 64)
+        corner = st.tuples(*[coord] * d)
+        fanout = 4 ** d
+        if kind == "nonleaf":
+            return NonLeafNode(
+                level=data.draw(st.integers(0, 60)),
+                v_corner=data.draw(corner), p_corner=data.draw(corner),
+                children=data.draw(st.lists(
+                    st.integers(-1, 2**62), min_size=fanout,
+                    max_size=fanout)),
+                child_is_leaf=data.draw(st.lists(
+                    st.booleans(), min_size=fanout, max_size=fanout)),
+                size=data.draw(st.integers(0, 2**32 - 1)))
+        entries = data.draw(layout_points(d, float32, max_size=12))
+        overflow = data.draw(st.sampled_from([INVALID_RID, 0, 2**40]))
+        if kind == "leaf":
+            return LeafNode(data.draw(st.integers(0, 60)),
+                            data.draw(corner), data.draw(corner),
+                            entries, overflow)
+        return LeafExtension(entries, overflow)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["nonleaf", "leaf", "extension"]),
+           d=st.integers(min_value=1, max_value=3), float32=st.booleans(),
+           lead=st.integers(min_value=0, max_value=9), data=st.data())
+    def test_round_trip_from_any_buffer(self, kind, d, float32, lead,
+                                        data):
+        codec = NodeCodec(d, float32=float32)
+        node = self.node(data, kind, d, float32)
+        raw = codec.serialize(node) + b"\xa5" * 7
+        framed = bytearray(b"\x5a" * lead + raw + b"\x5a" * 5)
+        buffers = [bytes(raw), bytearray(raw),
+                   memoryview(framed)[lead: lead + len(raw)]]
+        decoded = [codec.deserialize(buf) for buf in buffers]
+        for back in decoded:
+            assert back == node
+            if kind != "extension":
+                assert type(back.v_corner) is tuple
+                assert type(back.p_corner) is tuple
+            if kind == "nonleaf":
+                assert type(back.children) is list
+                assert type(back.child_is_leaf) is list
+                assert len(back.child_is_leaf) == 4 ** d
+                assert all(type(f) is bool for f in back.child_is_leaf)
+            else:
+                assert type(back._rows) is bytes
+        assert decoded[0] == decoded[1] == decoded[2]
+        framed[:] = b"\x00" * len(framed)  # a decode keeps no view
+        assert decoded[2] == node
+
+
 def layout_points(d, float32, min_size=0, max_size=40):
     """Entries whose coordinates the layout stores exactly (float32
     values for the float32 layout), so a round trip is lossless."""

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.buffer_pool import BufferPool
+from repro.core.dual import DualPoint
+from repro.core.nodes import LeafExtension, LeafNode, NodeCodec
+from repro.storage.buffer_pool import BufferPool, BufferPoolFullError
+from repro.storage.faults import FaultyPageFile, TransientIOError
 from repro.storage.node_store import (
     MAX_SLOTS_PER_PAGE,
     NodeCache,
@@ -228,6 +231,110 @@ class TestNodeCache:
         cache.get(rid)
         cache.get(rid)
         assert store.pool.stats.logical_reads == before + 2
+
+
+class TestNodeCacheMiss:
+    """A ``get`` whose record is not decoded: the page is found resident
+    or loaded through the pool's one miss path, then the record is
+    decoded from the frame's bytes."""
+
+    @staticmethod
+    def store_over(pagefile, capacity):
+        return RecordStore(BufferPool(pagefile, capacity=capacity))
+
+    def test_every_frame_pinned_raises_and_changes_nothing(self):
+        store = make_store(capacity=2)
+        cache = TestNodeCache.make_cache(store)
+        rid = cache.insert(64, "x")
+        pool = store.pool
+        pool.clear()
+        pins = [pool.new_page() for _ in range(2)]
+        frames = list(pool._frames.items())
+        before = pool.stats.snapshot()
+        with pytest.raises(BufferPoolFullError):
+            cache.get(rid)
+        assert list(pool._frames.items()) == frames
+        assert pool.stats == before
+        for page in pins:
+            pool.unpin(page)
+        assert cache.get(rid) == "x"
+
+    def test_failed_read_installs_no_frame(self):
+        pagefile = FaultyPageFile(InMemoryPageFile())
+        store = self.store_over(pagefile, capacity=2)
+        cache = TestNodeCache.make_cache(store)
+        rid = cache.insert(64, "x")
+        pool = store.pool
+        pool.clear()
+        before = pool.stats.snapshot()
+        pagefile.fail_next_reads(1)
+        with pytest.raises(TransientIOError):
+            cache.get(rid)
+        assert not pool.is_resident(rid_page(rid))
+        assert pool.stats.physical_reads == before.physical_reads
+        assert cache.misses == 0
+        assert cache.get(rid) == "x"  # the retry decodes the record
+        assert pool.stats.physical_reads == before.physical_reads + 1
+        assert cache.misses == 1
+
+    def test_dirty_victim_runs_the_write_guard_first(self):
+        log = []
+
+        class LoggingPageFile(InMemoryPageFile):
+            def read(self, page_id):
+                log.append(("read", page_id))
+                return super().read(page_id)
+
+            def write(self, page_id, data):
+                log.append(("write", page_id))
+                super().write(page_id, data)
+
+        store = self.store_over(LoggingPageFile(), capacity=1)
+        cache = TestNodeCache.make_cache(store)
+        rid = cache.insert(64, "x")
+        other = store.allocate(2000, b"dirty")  # evicts rid's page
+        victim = rid_page(other)
+        store.pool.set_write_guard(lambda page_id: log.append(
+            ("guard", page_id)))
+        del log[:]
+        assert cache.get(rid) == "x"
+        assert log == [("guard", victim), ("write", victim),
+                       ("read", rid_page(rid))]
+        assert store.pool.stats.evictions == 2
+
+    def test_unknown_rid_raises_key_error(self, store):
+        cache = TestNodeCache.make_cache(store)
+        rid = cache.insert(64, "x")
+        before = store.pool.stats.snapshot()
+        with pytest.raises(KeyError):
+            cache.get(make_rid(rid_page(rid) + 1, 0))
+        assert store.pool.stats == before
+
+    def test_slot_out_of_range_rejected(self, store):
+        cache = TestNodeCache.make_cache(store)
+        rid = cache.insert(2000, "x")
+        num_slots = store.size_class(2000).num_slots
+        with pytest.raises(ValueError, match="slot"):
+            cache.get(make_rid(rid_page(rid), num_slots))
+
+    @pytest.mark.parametrize("record", ["leaf", "extension"])
+    def test_decoded_rows_never_alias_the_frame(self, store, record):
+        codec = NodeCodec(2)
+        cache = NodeCache(store, codec.serialize, codec.deserialize)
+        points = [DualPoint(oid, (oid + 0.5, 1.0), (2.0, oid * 3.0))
+                  for oid in range(5)]
+        node = (LeafNode(3, (0.0, 0.0), (8.0, 8.0), list(points))
+                if record == "leaf" else LeafExtension(list(points)))
+        rid = cache.insert(1000, node)
+        page = store.pool._frames[rid_page(rid)]
+        page.decoded.clear()
+        got = cache.get(rid)
+        assert page.decoded[rid] is got
+        assert type(got._rows) is bytes
+        rows = bytes(got._rows)
+        page.data[:] = b"\xff" * len(page.data)  # in place, same buffer
+        assert got._rows == rows
+        assert got.entries == points
 
 
 def _pad(value: str) -> bytes:

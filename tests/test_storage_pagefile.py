@@ -37,6 +37,24 @@ class TestAllocation:
         with pytest.raises(ValueError, match="already freed"):
             anyfile.free(page)
 
+    def test_many_frees_then_double_free(self, anyfile):
+        """A rotation frees hundreds of pages at once; the double-free
+        check must still catch a repeat, and the free list must keep
+        its order (oldest first) and hand pages back newest first."""
+        pages = [anyfile.allocate() for _ in range(400)]
+        freed = pages[::2][::-1] + pages[1::2]
+        for page in freed:
+            anyfile.free(page)
+        assert list(anyfile.free_page_ids()) == freed
+        with pytest.raises(ValueError, match="already freed"):
+            anyfile.free(freed[123])
+        assert list(anyfile.free_page_ids()) == freed
+        assert [anyfile.allocate() for _ in range(3)] == freed[:-4:-1]
+        anyfile.free(freed[-1])  # reallocated, so freeing it is fine
+        with pytest.raises(ValueError, match="already freed"):
+            anyfile.free(freed[-1])
+        assert anyfile.num_pages == 400 - len(freed) + 2
+
     def test_capacity_tracks_high_water_mark(self, anyfile):
         for _ in range(5):
             anyfile.allocate()
