@@ -12,10 +12,12 @@ grouped delete reads the subtree it collapses without first re-reading
 the path to it.
 
 The page bytes themselves are pinned too: a SHA-256 over every record
-the index reaches, for this run and for two small indexes (d = 1, and
-the ``float32`` layout) driven through ``update``.  Leaf writes edit a
-record's packed rows in place of repacking its entry list; the digests
-prove that both write the same bytes, down to the stale tail a shorter
+the index reaches, for this run and for small indexes driven through
+``update`` (d = 1, 2 and 3, both coordinate layouts, and ablation A1,
+where every leaf is born large).  The small indexes cap the depth, so
+leaves promote, split, spill into overflow chains and collapse, and
+deletes remove entries from chains; the digests pin the bytes every one
+of those record rebuilds writes, down to the stale tail a shorter
 payload leaves in its record.
 """
 
@@ -27,7 +29,8 @@ import random
 import pytest
 
 from repro.bench.runner import make_stripes, run_workload
-from repro.core.quadtree import QuadTreeConfig
+from repro.core.nodes import INVALID_RID
+from repro.core.quadtree import DualQuadTree, QuadTreeConfig, QuadTreeCounters
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.obs.metrics import MetricsRegistry
 from repro.query.types import MovingObjectState
@@ -58,6 +61,12 @@ GOLDEN_PAGE_DIGESTS = {
         "a3bf58c9b6615ecd1e0aaad40fd2be6f3d8ffebe60d68fa54b66e4c4ba83534b",
     "float32_updates":
         "e8f55b8de499ce6d8370649cab663f0556345236d6ae297a3eb5f10f0c6fe3c5",
+    "d1_float32_chains":
+        "05dae047653d46b197c8526683998457cc61a2321f05aedc75c76d9692aa0064",
+    "d3_chains":
+        "636dd7403ca0239dbb626af094f2bc36c7d79fe84faf6474e8745d50767c6cd3",
+    "a1_chains":
+        "f6a0dd7778cfa91cef74cb6b58b17353647c1298fd9a24754e47cc227bcc9037",
 }
 
 
@@ -112,19 +121,21 @@ def page_digest(index):
     return digest.hexdigest()
 
 
-def updated_index(vmax, pmax, float32, seed):
+SMALL_LADDER = QuadTreeConfig(leaf_size_ladder=(256, 512, 1024),
+                              max_depth=3)
+
+
+def updated_index(vmax, pmax, float32, seed, quadtree=SMALL_LADDER):
     """A small index over a 16-page pool after inserts, three rounds of
-    single updates (some across the lifetime window) and deletes.  A
-    three-rung leaf ladder of small records and a depth cap make it
-    promote, split, collapse and spill into overflow chains."""
+    single updates (some across the lifetime window) and deletes.  The
+    default three-rung leaf ladder of small records and depth cap make
+    it promote, split, collapse and spill into overflow chains."""
     lifetime = 120.0
     rng = random.Random(seed)
     d = len(vmax)
     index = StripesIndex(
         StripesConfig(vmax=vmax, pmax=pmax, lifetime=lifetime,
-                      float32=float32,
-                      quadtree=QuadTreeConfig(
-                          leaf_size_ladder=(256, 512, 1024), max_depth=3)),
+                      float32=float32, quadtree=quadtree),
         BufferPool(InMemoryPageFile(), capacity=POOL_PAGES))
 
     def state(oid, t):
@@ -163,5 +174,64 @@ def test_page_bytes_of_update_heavy_run(run):
 ])
 def test_page_bytes_of_small_updated_index(name, vmax, pmax, float32):
     index = updated_index(vmax, pmax, float32, seed=5)
+    assert index.check() == []
+    assert page_digest(index) == GOLDEN_PAGE_DIGESTS[name]
+
+
+REBUILD_CASES = {
+    "d1_float32_chains": ((3.0,), (1000.0,), True,
+                          QuadTreeConfig(leaf_size_ladder=(256, 512),
+                                         max_depth=3)),
+    # Depth 1 fills the 64 level-1 leaves past their capacity, and a
+    # collapse threshold above a leaf's capacity rebuilds under-filled
+    # subtrees as non-leaves, not single leaves.
+    "d3_chains": ((3.0,) * 3, (1000.0,) * 3, False,
+                  QuadTreeConfig(leaf_size_ladder=(256, 512, 1024),
+                                 max_depth=1, collapse_capacity=600)),
+    # Ablation A1: every leaf is born large, so nothing is promoted.
+    "a1_chains": ((3.0, 3.0), (1000.0, 1000.0), False,
+                  QuadTreeConfig(use_small_leaves=False,
+                                 small_leaf_bytes=1024,
+                                 large_leaf_bytes=1024, max_depth=2)),
+}
+
+
+#: ``(leaf_splits, leaf_promotions, collapses, overflow_spills, chained
+#: deletes)`` of each rebuild case; a chained delete is a leaf delete
+#: group that removed entries from a leaf with an overflow chain.
+GOLDEN_REBUILD_COUNTS = {
+    "d1_float32_chains": (8, 14, 6, 19, 112),
+    "d3_chains": (2, 26, 74, 167, 258),
+    "a1_chains": (13, 0, 15, 8, 90),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REBUILD_CASES))
+def test_page_bytes_of_rebuilt_index(name, monkeypatch):
+    """Page bytes after every kind of record rebuild: splits, collapses,
+    spills into overflow chains and deletes from chains all happen."""
+    vmax, pmax, float32, quadtree = REBUILD_CASES[name]
+    chained_deletes = []
+    leaf_delete_group = DualQuadTree._leaf_delete_group
+
+    def counted(tree, rid, leaf, gpoints, gidxs, flags):
+        chained = leaf.overflow != INVALID_RID
+        removed = leaf_delete_group(tree, rid, leaf, gpoints, gidxs, flags)
+        if chained and removed:
+            chained_deletes.append(removed)
+        return removed
+
+    monkeypatch.setattr(DualQuadTree, "_leaf_delete_group", counted)
+    index = updated_index(vmax, pmax, float32, seed=5, quadtree=quadtree)
+    monkeypatch.undo()
+    counters = QuadTreeCounters().merge(index._retired_counters)
+    for tree in index._trees.values():
+        counters.merge(tree.counters)
+    counts = (counters.leaf_splits, counters.leaf_promotions,
+              counters.collapses, counters.overflow_spills,
+              len(chained_deletes))
+    splits, _, collapses, spills, chain_edits = counts
+    assert splits > 0 and collapses > 0 and spills > 0 and chain_edits > 0
+    assert counts == GOLDEN_REBUILD_COUNTS[name]
     assert index.check() == []
     assert page_digest(index) == GOLDEN_PAGE_DIGESTS[name]
