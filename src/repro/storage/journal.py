@@ -156,65 +156,11 @@ def read_journal(journal_path: str | os.PathLike,
     return read_journal_info(journal_path, page_size)[1]
 
 
-def atomic_flush(pool: BufferPool, journal_path: str | os.PathLike,
-                 checkpoint_id: int = 0) -> int:
-    """Flush every dirty page atomically; returns the page count.
-
-    The journal is written and fsynced before any page-file write, the
-    page file is fsynced after the flush, and the journal is then
-    removed durably.  A crash at any point leaves either the old page
-    images (journal uncommitted) or enough information to replay the
-    new ones (journal committed).
-
-    If the pool carries an undo write guard
-    (:func:`attach_undo_journal`), the flush runs *guarded*: the flushed
-    pages' pre-images are shadowed first, so a later crash still rolls
-    the file back to its last committed checkpoint.  The index-level
-    checkpoint (:func:`repro.core.persistence.save_index`) runs its own
-    sidecar-bound sequence instead of calling this helper.
-    """
-    page_size = pool.pagefile.page_size
-    dirty = pool.dirty_page_images()
-    if not dirty:
-        return 0
-    write_journal(journal_path, dirty, page_size,
-                  checkpoint_id=checkpoint_id)
-    pool.flush_all()
-    pool.pagefile.sync()
-    _remove_durably(journal_path)
-    return len(dirty)
-
-
 def _replay_pages(pagefile: PageFile, pages: Dict[int, bytes]) -> None:
     for page_id, image in sorted(pages.items()):
         while pagefile.capacity_pages <= page_id:
             pagefile.allocate()
         pagefile.write(page_id, image)
-
-
-def recover(pagefile: PageFile, journal_path: str | os.PathLike) -> int:
-    """Apply a leftover journal to the page file if it committed.
-
-    Returns the number of pages replayed (0 when there is no journal or
-    it never committed -- in the latter case the page file was never
-    touched, so discarding the journal is the correct recovery).  This
-    is the storage-level primitive paired with :func:`atomic_flush`;
-    checkpointed indexes go through :func:`recover_checkpoint`, which
-    also validates the checkpoint id and applies the undo journal.
-    """
-    if not os.path.exists(journal_path):
-        return 0
-    try:
-        pages = read_journal(journal_path, pagefile.page_size)
-    except JournalError:
-        _remove_durably(journal_path)
-        return 0
-    _replay_pages(pagefile, pages)
-    # The replayed images must be durable before the journal goes away,
-    # or a second crash leaves neither.
-    pagefile.sync()
-    _remove_durably(journal_path)
-    return len(pages)
 
 
 def recover_checkpoint(pagefile: PageFile,

@@ -15,8 +15,8 @@ from repro.query.types import (MovingObjectState, TimeSliceQuery,
                                WindowQuery)
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.faults import FaultyPageFile
-from repro.storage.journal import (UndoJournal, read_undo_journal, recover,
-                                   write_journal)
+from repro.storage.journal import (UndoJournal, read_undo_journal,
+                                   recover_checkpoint, write_journal)
 from repro.storage.page import PAGE_SIZE
 from repro.storage.pagefile import InMemoryPageFile
 
@@ -212,8 +212,8 @@ class TestSidecarFsyncOrdering:
 
 
 class TestRecoverDurability:
-    """Satellite: journal recovery itself must be durable -- the
-    replayed pages are fsynced before the journal is removed."""
+    """Journal recovery itself must be durable -- the replayed pages are
+    fsynced before the journal is removed."""
 
     def test_recover_syncs_pagefile_before_dropping_journal(self,
                                                             tmp_path):
@@ -224,7 +224,7 @@ class TestRecoverDurability:
         journal = tmp_path / "j"
         write_journal(journal, {pid: b"\xAB" * PAGE_SIZE}, PAGE_SIZE)
         syncs_before = faulty.syncs
-        assert recover(faulty, journal) == 1
+        assert recover_checkpoint(faulty, journal)["replayed"] == 1
         assert faulty.syncs > syncs_before, \
             "replayed pages were not fsynced; removing the journal " \
             "would strand them in the page cache"

@@ -13,9 +13,9 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.faults import FAILPOINTS, InjectedCrash
 from repro.storage.journal import (
     JournalError,
-    atomic_flush,
+    UndoJournal,
     read_journal,
-    recover,
+    recover_checkpoint,
     write_journal,
 )
 from repro.storage.page import PAGE_SIZE
@@ -84,15 +84,21 @@ class TestJournalFormat:
 
 
 class TestRecovery:
+    """:func:`recover_checkpoint` on the redo journal alone: a committed
+    journal is replayed, a torn or uncommitted one is discarded."""
+
     def test_committed_journal_replayed(self, tmp_path):
         db = tmp_path / "db"
         with OnDiskPageFile(db) as pagefile:
             pid = pagefile.allocate()
             pagefile.write(pid, image(0xAA))
         journal = tmp_path / "j"
-        write_journal(journal, {pid: image(0xBB)}, PAGE_SIZE)
+        write_journal(journal, {pid: image(0xBB)}, PAGE_SIZE,
+                      checkpoint_id=4)
         with OnDiskPageFile(db) as pagefile:
-            assert recover(pagefile, journal) == 1
+            assert recover_checkpoint(pagefile, journal,
+                                      expected_checkpoint_id=4) \
+                == {"replayed": 1, "rolled_back": 0}
             assert bytes(pagefile.read(pid)) == image(0xBB)
         assert not journal.exists()
 
@@ -106,14 +112,39 @@ class TestRecovery:
         raw = journal.read_bytes()
         journal.write_bytes(raw[:-4])   # crash before commit finished
         with OnDiskPageFile(db) as pagefile:
-            assert recover(pagefile, journal) == 0
+            assert recover_checkpoint(pagefile, journal) \
+                == {"replayed": 0, "rolled_back": 0}
             assert bytes(pagefile.read(pid)) == image(0xAA)
         assert not journal.exists()
+
+    def test_journal_of_another_checkpoint_discarded(self, tmp_path):
+        """A committed journal whose checkpoint id is not the sidecar's
+        belongs to a checkpoint that never committed: it is discarded
+        and the undo journal rolls evicted pages back."""
+        db = tmp_path / "db"
+        with OnDiskPageFile(db) as pagefile:
+            pid = pagefile.allocate()
+            pagefile.write(pid, image(0xCC))   # evicted after checkpoint 4
+        journal = tmp_path / "j"
+        write_journal(journal, {pid: image(0xBB)}, PAGE_SIZE,
+                      checkpoint_id=5)
+        undo = tmp_path / "u"
+        shadow = UndoJournal(undo, PAGE_SIZE)
+        shadow.shadow(pid, image(0xAA))        # checkpoint 4's image
+        shadow.close()
+        with OnDiskPageFile(db) as pagefile:
+            assert recover_checkpoint(pagefile, journal, undo,
+                                      expected_checkpoint_id=4) \
+                == {"replayed": 0, "rolled_back": 1}
+            assert bytes(pagefile.read(pid)) == image(0xAA)
+        assert not journal.exists()
+        assert not undo.exists()
 
     def test_no_journal_is_noop(self, tmp_path):
         db = tmp_path / "db"
         with OnDiskPageFile(db) as pagefile:
-            assert recover(pagefile, tmp_path / "absent") == 0
+            assert recover_checkpoint(pagefile, tmp_path / "absent") \
+                == {"replayed": 0, "rolled_back": 0}
 
     def test_replay_extends_short_file(self, tmp_path):
         """Pages allocated but never flushed before the crash: the page
@@ -124,28 +155,8 @@ class TestRecovery:
         journal = tmp_path / "j"
         write_journal(journal, {0: image(1), 4: image(5)}, PAGE_SIZE)
         with OnDiskPageFile(db) as pagefile:
-            assert recover(pagefile, journal) == 2
+            assert recover_checkpoint(pagefile, journal)["replayed"] == 2
             assert bytes(pagefile.read(4)) == image(5)
-
-    def test_atomic_flush_writes_and_removes_journal(self, tmp_path):
-        db = tmp_path / "db"
-        pagefile = OnDiskPageFile(db)
-        pool = BufferPool(pagefile, capacity=16)
-        page = pool.new_page()
-        page.write(0, b"payload")
-        pool.unpin(page)
-        journal = tmp_path / "j"
-        assert atomic_flush(pool, journal) == 1
-        assert not journal.exists()
-        assert bytes(pagefile.read(page.page_id))[:7] == b"payload"
-        pagefile.close()
-
-    def test_atomic_flush_with_nothing_dirty(self, tmp_path):
-        pagefile = OnDiskPageFile(tmp_path / "db")
-        pool = BufferPool(pagefile, capacity=16)
-        assert atomic_flush(pool, tmp_path / "j") == 0
-        assert not (tmp_path / "j").exists()
-        pagefile.close()
 
 
 class TestCrashConsistentIndex:
