@@ -236,8 +236,7 @@ class DualQuadTree:
         if root is None:
             self.count = 0
             self._root_rid = self.cache.insert(
-                self.small_bytes,
-                self._new_leaf(0, self._origin(), self._origin()))
+                self.small_bytes, LeafNode(0, self._origin(), self._origin()))
             self._root_is_leaf = True
         else:
             self._root_rid, self._root_is_leaf, self.count = root
@@ -286,13 +285,6 @@ class DualQuadTree:
             v_corner.append(node.v_corner[i] + (code & 1) * sl_v[i])
             p_corner.append(node.p_corner[i] + ((code >> 1) & 1) * sl_p[i])
         return tuple(v_corner), tuple(p_corner)
-
-    @staticmethod
-    def _new_leaf(level: int, v_corner: Tuple[float, ...],
-                  p_corner: Tuple[float, ...],
-                  entries: Optional[List[DualPoint]] = None) -> LeafNode:
-        return LeafNode(level, v_corner, p_corner,
-                        entries if entries is not None else [])
 
     # ------------------------------------------------------------------ #
     # Insert (Section 4.3)
@@ -380,13 +372,7 @@ class DualQuadTree:
             if len(groups) == 1:
                 return ((next(iter(groups)), None, None),)
             return [(idx, rows, None) for idx, rows in sorted(groups.items())]
-        sl_v, sl_p = self._child_sides(node.level + 1)
-        codes = np.zeros(vs.shape[0], dtype=np.int64)
-        for i in range(self.d):
-            v_hi = vs[:, i] >= node.v_corner[i] + sl_v[i]
-            p_hi = ps[:, i] >= node.p_corner[i] + sl_p[i]
-            codes |= ((p_hi.astype(np.int64) << 1)
-                      | v_hi.astype(np.int64)) << (2 * i)
+        codes = self._quad_codes(node, vs, ps)
         order = np.argsort(codes, kind="stable")
         uniq, starts = np.unique(codes[order], return_index=True)
         if len(uniq) == 1:
@@ -397,6 +383,19 @@ class DualQuadTree:
             sel = order[bounds[k]: bounds[k + 1]]
             out.append((child_idx, sel.tolist(), sel))
         return out
+
+    def _quad_codes(self, node: NonLeafNode, vs: np.ndarray,
+                    ps: np.ndarray) -> np.ndarray:
+        """Eq. 1 over ``(n, d)`` float64 columns: each row's child index,
+        from the float64 ``>=`` tests of :meth:`_child_index`."""
+        sl_v, sl_p = self._child_sides(node.level + 1)
+        codes = np.zeros(vs.shape[0], dtype=np.int64)
+        for i in range(self.d):
+            v_hi = vs[:, i] >= node.v_corner[i] + sl_v[i]
+            p_hi = ps[:, i] >= node.p_corner[i] + sl_p[i]
+            codes |= ((p_hi.astype(np.int64) << 1)
+                      | v_hi.astype(np.int64)) << (2 * i)
+        return codes
 
     def _insert_group(self, rid: int, points: List[DualPoint],
                       vs: Optional[np.ndarray], ps: Optional[np.ndarray],
@@ -411,12 +410,10 @@ class DualQuadTree:
             gpoints = points if rows is None else [points[j] for j in rows]
             child_rid = node.children[child_idx]
             if child_rid == INVALID_RID:
-                # Case 1: the target leaf does not exist yet.  Writing
-                # it packs the group and drops the list, so the leaf
-                # never keeps the caller's list.
+                # Case 1: the target leaf does not exist yet.
                 cv, cp = self._child_corner(node, child_idx)
                 crid, cleaf = self._build_subtree(
-                    node.level + 1, cv, cp, gpoints)
+                    node.level + 1, cv, cp, self.codec.pack(gpoints))
                 node.children[child_idx] = crid
                 node.child_is_leaf[child_idx] = cleaf
             elif node.child_is_leaf[child_idx]:
@@ -439,23 +436,24 @@ class DualQuadTree:
         """Cases 2/3 for a group landing in an existing leaf: admit,
         promote, spill or split once for the whole group.  Returns the
         (possibly new) record id and is-leaf flag the parent should point
-        at.  The leaf copies ``gpoints``, never keeps the list itself."""
+        at."""
         ladder_idx = self._ladder_index[self.store.record_size_of(rid)]
+        new_rows = self.codec.pack(gpoints)
         if (leaf.overflow == INVALID_RID
-                and leaf.size + len(gpoints)
-                <= self.leaf_capacities[ladder_idx]):
+                and len(leaf.rows) + len(new_rows)
+                <= self.leaf_capacities[ladder_idx] * self.codec.entry_size):
             # Case 2: room available -- append the group's packed rows.
-            self.codec.append_rows(leaf, gpoints)
+            leaf.rows += new_rows
             self.cache.update(rid, leaf)
             return rid, True
-        entries = self._leaf_all_entries(leaf)
-        entries.extend(gpoints)
+        rows = self._leaf_rows(leaf) + new_rows
+        n = len(rows) // self.codec.entry_size
         if ladder_idx + 1 < len(self.leaf_ladder):
             # Overflow of a non-top leaf: promote it up the size ladder.
             for next_idx in range(ladder_idx + 1, len(self.leaf_ladder)):
-                if len(entries) <= self.leaf_capacities[next_idx]:
-                    promoted = self._new_leaf(leaf.level, leaf.v_corner,
-                                              leaf.p_corner, entries)
+                if n <= self.leaf_capacities[next_idx]:
+                    promoted = LeafNode(leaf.level, leaf.v_corner,
+                                        leaf.p_corner, rows)
                     new_rid = self.cache.insert(
                         self.leaf_ladder[next_idx], promoted)
                     self.cache.free(rid)
@@ -470,54 +468,60 @@ class DualQuadTree:
             if self.store.record_size_of(rid) != self.large_bytes:
                 # A group can overshoot every ladder rung at once; the
                 # chain head must live in a top-rung record.
-                fresh = self._new_leaf(leaf.level, leaf.v_corner,
-                                       leaf.p_corner, [])
-                fresh.overflow = leaf.overflow
+                fresh = LeafNode(leaf.level, leaf.v_corner, leaf.p_corner,
+                                 b"", leaf.overflow)
                 new_rid = self.cache.insert(self.large_bytes, fresh)
                 self.cache.free(rid)
                 self.counters.leaf_promotions += 1
                 rid, leaf = new_rid, fresh
-            self._write_leaf_chain(rid, leaf, entries)
+            self._write_leaf_chain(rid, leaf, rows)
             self.counters.overflow_spills += 1
             if self.tracer is not None:
                 self.tracer.event("quadtree.overflow_spill",
-                                  level=leaf.level, entries=len(entries))
+                                  level=leaf.level, entries=n)
             return rid, True
         # Case 3: split -- the leaf becomes a non-leaf subtree.
         new_rid, is_leaf = self._build_subtree(
-            leaf.level, leaf.v_corner, leaf.p_corner, entries)
+            leaf.level, leaf.v_corner, leaf.p_corner, rows)
         self._free_leaf_chain(rid, leaf)
         self.counters.leaf_splits += 1
         if self.tracer is not None:
             self.tracer.event("quadtree.leaf_split", level=leaf.level,
-                              entries=len(entries))
+                              entries=n)
         return new_rid, is_leaf
 
     def _build_subtree(self, level: int, v_corner: Tuple[float, ...],
                        p_corner: Tuple[float, ...],
-                       entries: List[DualPoint]) -> Tuple[int, bool]:
-        """Materialise a subtree for ``entries`` (used by splits and
-        under-fill collapses).  Only non-empty children are created."""
-        n = len(entries)
+                       rows: bytes) -> Tuple[int, bool]:
+        """Materialise a subtree for packed ``rows`` (used by splits and
+        under-fill collapses).  Only non-empty children are created, in
+        the order their first row appears in ``rows``; each child keeps
+        its rows in their order in ``rows``."""
+        n = len(rows) // self.codec.entry_size
         for idx, capacity in enumerate(self.leaf_capacities):
             if n <= capacity:
-                leaf = self._new_leaf(level, v_corner, p_corner, entries)
+                leaf = LeafNode(level, v_corner, p_corner, rows)
                 return self.cache.insert(self.leaf_ladder[idx], leaf), True
         if level >= self.config.max_depth:
-            leaf = self._new_leaf(level, v_corner, p_corner, [])
+            leaf = LeafNode(level, v_corner, p_corner)
             rid = self.cache.insert(self.large_bytes, leaf)
-            self._write_leaf_chain(rid, leaf, entries)
+            self._write_leaf_chain(rid, leaf, rows)
             return rid, True
         node = NonLeafNode(level, v_corner, p_corner,
                            [INVALID_RID] * self.fanout,
                            [False] * self.fanout, n)
-        groups: Dict[int, List[DualPoint]] = {}
-        for entry in entries:
-            groups.setdefault(self._child_index(node, entry), []).append(entry)
-        for idx, group in groups.items():
+        _, vs, ps = self.codec.columns(rows)
+        codes = self._quad_codes(node, vs, ps)
+        order = np.argsort(codes, kind="stable")
+        uniq, starts = np.unique(codes[order], return_index=True)
+        bounds = starts.tolist() + [n]
+        # A stable sort puts each child's first row at its run's start.
+        for k in np.argsort(order[starts]).tolist():
+            idx = int(uniq[k])
             cv, cp = self._child_corner(node, idx)
             child_rid, child_leaf = self._build_subtree(
-                level + 1, cv, cp, group)
+                level + 1, cv, cp,
+                self.codec.take_rows(rows, order[bounds[k]: bounds[k + 1]]))
             node.children[idx] = child_rid
             node.child_is_leaf[idx] = child_leaf
         return self.cache.insert(self.codec.nonleaf_record_size, node), False
@@ -535,41 +539,35 @@ class DualQuadTree:
     # Overflow chains (maximum-depth leaves only)
     # ------------------------------------------------------------------ #
 
-    def _leaf_all_entries(self, leaf: LeafNode,
-                          out: Optional[List[DualPoint]] = None
-                          ) -> List[DualPoint]:
-        """Entries of the leaf including any overflow extensions.
-
-        ``out`` appends into the caller's accumulator instead of building
-        (and having the caller re-copy) an intermediate list per record --
-        the bulk-collection paths (:meth:`all_entries`, subtree collapses)
-        pass one shared buffer down the walk.
-        """
-        entries = out if out is not None else []
-        entries.extend(leaf.entries)
+    def _leaf_rows(self, leaf: LeafNode) -> bytes:
+        """Packed rows of the leaf and its overflow extensions, joined."""
+        parts = [leaf.rows]
         rid = leaf.overflow
         while rid != INVALID_RID:
             ext = self.cache.get(rid)
-            entries.extend(ext.entries)
+            parts.append(ext.rows)
             rid = ext.overflow
-        return entries
+        return b"".join(parts)
 
     def _write_leaf_chain(self, rid: int, leaf: LeafNode,
-                          entries: List[DualPoint]) -> None:
-        """Rewrite the leaf and its overflow chain to hold ``entries``."""
+                          rows: bytes) -> None:
+        """Rewrite the leaf and its overflow chain to hold ``rows``: the
+        first ``large_capacity`` entries in the leaf, the rest in
+        extensions of ``ext_capacity`` entries."""
         old = leaf.overflow
         while old != INVALID_RID:
             ext = self.cache.get(old)
             nxt = ext.overflow
             self.cache.free(old)
             old = nxt
-        leaf.entries = entries[: self.large_capacity]
-        rest = entries[self.large_capacity:]
+        head_bytes = self.large_capacity * self.codec.entry_size
+        ext_bytes = self.ext_capacity * self.codec.entry_size
+        leaf.rows = rows[:head_bytes]
+        rest = rows[head_bytes:]
         head = INVALID_RID
-        for start in range(
-                (len(rest) // self.ext_capacity) * self.ext_capacity,
-                -1, -self.ext_capacity):
-            chunk = rest[start: start + self.ext_capacity]
+        for start in range((len(rest) // ext_bytes) * ext_bytes, -1,
+                           -ext_bytes):
+            chunk = rest[start: start + ext_bytes]
             if not chunk:
                 continue
             head = self.cache.insert(self.large_bytes,
@@ -607,8 +605,8 @@ class DualQuadTree:
 
         Returns one removed-flag per input point, in input order.  The
         group is partitioned by Eq. 1 as in :meth:`insert_batch`; each
-        touched leaf rewrites its entry list / overflow chain once for
-        all its group's removals, and each non-leaf that lost entries is
+        touched leaf rewrites its rows / overflow chain once for all its
+        group's removals, and each non-leaf that lost entries is
         re-sized and written once, after its subtree.  A descent that
         removes nothing writes nothing.  Under-fill is checked on the way
         back up, once the whole group is applied: the topmost under-filled
@@ -695,33 +693,22 @@ class DualQuadTree:
         subtree at ``rid`` from its entries.  With the default threshold
         (one leaf's capacity) the rebuild is a single leaf.  Returns the
         new record id and is-leaf flag for the parent pointer."""
-        entries = self._subtree_entries(rid, is_leaf=False)
+        rows = self._subtree_rows(rid, is_leaf=False)
         self._free_subtree(rid, is_leaf=False)
         self.counters.collapses += 1
         if self.tracer is not None:
             self.tracer.event("quadtree.collapse", level=node.level,
-                              entries=len(entries))
+                              entries=len(rows) // self.codec.entry_size)
         return self._build_subtree(node.level, node.v_corner, node.p_corner,
-                                   entries)
+                                   rows)
 
     def _leaf_delete_group(self, rid: int, leaf: LeafNode,
                            gpoints: List[DualPoint], gidxs,
                            flags: List[bool]) -> int:
-        """Remove every matching group point from one leaf, writing it
-        once (not at all if none matched): a leaf without an overflow
-        chain splices the rows out, a chain is rewritten from its entry
-        list."""
-        chained = leaf.overflow != INVALID_RID
-        if chained:
-            entries = self._leaf_all_entries(leaf)
-            hits = []
-            for point in gpoints:
-                pos = self._find_entry(entries, point)
-                if pos is not None:
-                    entries.pop(pos)
-                hits.append(pos is not None)
-        else:
-            hits = self.codec.remove_rows(leaf, gpoints)
+        """Remove every matching group point from one leaf and its
+        overflow chain (:meth:`NodeCodec.remove_rows` over their joined
+        rows), rewriting them once -- not at all if none matched."""
+        rows, hits = self.codec.remove_rows(self._leaf_rows(leaf), gpoints)
         removed = 0
         for j, hit in zip(gidxs, hits):
             if hit:
@@ -729,27 +716,9 @@ class DualQuadTree:
                 removed += 1
         if not removed:
             return 0
-        if chained:
-            self._write_leaf_chain(rid, leaf, entries)
-        else:
-            self.cache.update(rid, leaf)
+        self._write_leaf_chain(rid, leaf, rows)
         self.count -= removed
         return removed
-
-    @staticmethod
-    def _find_entry(entries: List[DualPoint],
-                    point: DualPoint) -> Optional[int]:
-        for i, entry in enumerate(entries):
-            if (entry.oid == point.oid and entry.v == point.v
-                    and entry.p == point.p):
-                return i
-        # Fall back to oid-only matching: coordinates recomputed from stale
-        # caller state can drift by rounding, but an oid appears in exactly
-        # one leaf of a sub-index under the one-entry-per-object discipline.
-        for i, entry in enumerate(entries):
-            if entry.oid == point.oid:
-                return i
-        return None
 
     # ------------------------------------------------------------------ #
     # Search (Section 4.6.4)
@@ -767,7 +736,7 @@ class DualQuadTree:
         :meth:`_resolve_columns`.  Candidates never leave column form, so
         the caller's refinement (the exact common-instant check in
         :mod:`repro.core.stripes`) runs directly on the returned columns,
-        and a record decoded from a page never builds its entry list.
+        and no record's rows are decoded into ``DualPoint`` objects.
         Rows are in descent order.
 
         ``trace`` (a :class:`repro.obs.tracer.DescentTrace`) records the
@@ -808,27 +777,20 @@ class DualQuadTree:
         range to True: re-testing them could disagree with the rectangle
         classification by an ulp at region boundaries.
         """
+        size = self.codec.entry_size
         parts = []
         lit_ranges = []
         any_pending = False
         off = 0
         for rec, lit in segments:
-            # _rows_valid() unrolled: decoded rows are valid until the
-            # entries are materialized; after that (and for in-memory
-            # records) while the entry list is the one they were packed
-            # from, at the same length.
-            entries = rec._entries
-            if entries is None or (rec._rows_entries is entries
-                                   and rec._rows_len == len(entries)):
-                parts.append(rec._rows)
-            else:
-                parts.append(self.codec.rows(rec))
-            n = rec._rows_len
+            rows = rec.rows
+            parts.append(rows)
+            end = off + len(rows) // size
             if lit:
-                lit_ranges.append((off, off + n))
+                lit_ranges.append((off, end))
             else:
                 any_pending = True
-            off += n
+            off = end
         oids, vs, ps = self.codec.columns(b"".join(parts))
         if any_pending:
             mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
@@ -842,9 +804,9 @@ class DualQuadTree:
                 if type(rec) is LeafNode:
                     trace.leaf_visits += 1
                 if lit:
-                    trace.entries_reported += rec._rows_len
+                    trace.entries_reported += len(rec.rows) // size
                 else:
-                    trace.entries_scanned += rec._rows_len
+                    trace.entries_scanned += len(rec.rows) // size
             trace.candidates += len(oids)
         return oids, vs, ps
 
@@ -1045,7 +1007,10 @@ class DualQuadTree:
         """
         segments = self._segments(regions, self._report_size)
         pending = [seg for seg in segments if not seg[1]]
-        return (sum(rec.size for rec, lit in segments if lit)
+        size = self.codec.entry_size
+        return (sum(rec.size if type(rec) is NonLeafNode
+                    else len(rec.rows) // size
+                    for rec, lit in segments if lit)
                 + len(self._resolve_columns(regions, pending)[0]))
 
     def _report_subtree(self, rid: int, is_leaf: bool,
@@ -1079,30 +1044,27 @@ class DualQuadTree:
     # ------------------------------------------------------------------ #
 
     def all_entries(self) -> List[DualPoint]:
-        """Every stored dual point (test and collapse helper)."""
-        return self._subtree_entries(self._root_rid, self._root_is_leaf)
+        """Every stored dual point (a test and checker helper)."""
+        return self.codec.points(
+            self._subtree_rows(self._root_rid, self._root_is_leaf))
 
-    def _subtree_entries(self, rid: int, is_leaf: bool) -> List[DualPoint]:
-        """Entries of a subtree, appended into one shared buffer.
+    def _subtree_rows(self, rid: int, is_leaf: bool) -> bytes:
+        """Packed rows of a subtree's leaves, in walk order (present
+        children ascending, each leaf followed by its chain), joined
+        once."""
+        parts: List[bytes] = []
+        self._collect_rows(rid, is_leaf, parts)
+        return b"".join(parts)
 
-        The recursion threads a single output list instead of
-        concatenating per-child copies at every level, so collecting a
-        subtree of ``n`` entries is O(n) appends rather than O(n * height)
-        copied elements.  Page accesses are identical to the naive walk.
-        """
-        entries: List[DualPoint] = []
-        self._collect_entries(rid, is_leaf, entries)
-        return entries
-
-    def _collect_entries(self, rid: int, is_leaf: bool,
-                         out: List[DualPoint]) -> None:
+    def _collect_rows(self, rid: int, is_leaf: bool,
+                      out: List[bytes]) -> None:
         if is_leaf:
-            self._leaf_all_entries(self.cache.get(rid), out)
+            out.append(self._leaf_rows(self.cache.get(rid)))
             return
         node = self.cache.get(rid)
         for idx in node.present_children():
-            self._collect_entries(node.children[idx],
-                                  node.child_is_leaf[idx], out)
+            self._collect_rows(node.children[idx], node.child_is_leaf[idx],
+                               out)
 
     def _free_subtree(self, rid: int, is_leaf: bool) -> None:
         if is_leaf:
@@ -1271,6 +1233,7 @@ class DualQuadTree:
 
     def _check_leaf(self, rid: int, leaf: LeafNode, level: int,
                     seen: set, problems: List[str]) -> int:
+        size = self.codec.entry_size
         try:
             record_size = self.store.record_size_of(rid)
         except KeyError:
@@ -1281,13 +1244,12 @@ class DualQuadTree:
                 f"the leaf ladder {self.leaf_ladder}")
         else:
             capacity = self.leaf_capacities[self._ladder_index[record_size]]
-            if len(leaf.entries) > capacity:
+            if len(leaf.rows) // size > capacity:
                 problems.append(
-                    f"leaf {rid} holds {len(leaf.entries)} entries, over "
-                    f"its capacity of {capacity}")
+                    f"leaf {rid} holds {len(leaf.rows) // size} entries, "
+                    f"over its capacity of {capacity}")
         self._check_rows(rid, leaf, problems)
-        total = len(leaf.entries)
-        entries = list(leaf.entries)
+        parts = [leaf.rows]
         if leaf.overflow != INVALID_RID:
             if record_size != self.large_bytes:
                 problems.append(
@@ -1318,14 +1280,14 @@ class DualQuadTree:
                         f"decodes to {type(ext).__name__}")
                     break
                 self._check_rows(ext_rid, ext, problems)
-                if len(ext.entries) > self.ext_capacity:
+                if len(ext.rows) // size > self.ext_capacity:
                     problems.append(
-                        f"extension {ext_rid} holds {len(ext.entries)} "
+                        f"extension {ext_rid} holds {len(ext.rows) // size} "
                         f"entries, over its capacity of "
                         f"{self.ext_capacity}")
-                total += len(ext.entries)
-                entries.extend(ext.entries)
+                parts.append(ext.rows)
                 ext_rid = ext.overflow
+        entries = self.codec.points(b"".join(parts))
         misplaced = sum(
             not self._check_entry_in_quad(entry, level, leaf.v_corner,
                                           leaf.p_corner)
@@ -1333,21 +1295,13 @@ class DualQuadTree:
         if misplaced:
             problems.append(
                 f"leaf {rid} holds {misplaced} entries outside its quad")
-        return total
+        return len(entries)
 
     def _check_rows(self, rid: int, rec, problems: List[str]) -> None:
-        """Rows the search would read must be the packing of the
-        record's entries -- a list changed in place at the same length
-        keeps stale rows that look valid -- and the record's kept rows
-        must be the rows on its page: writes edit the kept rows, so rows
-        edited but never written would answer searches the page
-        disagrees with."""
-        if rec._rows_valid() and \
-                rec._rows != self.codec._pack_entries(rec.entries):
-            problems.append(
-                f"record {rid} holds packed rows that differ from its "
-                f"entries")
-        if rec._rows != self.codec.deserialize(self.store.read(rid))._rows:
+        """A record's rows must be the rows on its page: writes edit the
+        rows of the decoded record, so rows edited but never written
+        would answer searches the page disagrees with."""
+        if rec.rows != self.codec.deserialize(self.store.read(rid)).rows:
             problems.append(
                 f"record {rid} keeps packed rows that differ from its "
                 f"page")

@@ -105,7 +105,7 @@ def _join_leaf_self(entries, r2: float, results: List[Pair]) -> None:
 def _stripes_leaf_positions(tree, rid, t):
     leaf = tree.cache.get(rid)
     return [(entry.oid, tree.space.position_at(entry, t))
-            for entry in tree._leaf_all_entries(leaf)]
+            for entry in tree.codec.points(tree._leaf_rows(leaf))]
 
 
 def _stripes_join_trees(tree_a, tree_b, r2: float, t: float,

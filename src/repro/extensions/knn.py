@@ -210,7 +210,7 @@ def _stripes_knn(index: StripesIndex, point, t1: float, t2: float,
             vmax = tree.space.vmax
             t_ref = tree.space.t_ref
             lifetime = tree.space.lifetime
-            for entry in tree._leaf_all_entries(leaf):
+            for entry in tree.codec.points(tree._leaf_rows(leaf)):
                 pv = [v - vm for v, vm in zip(entry.v, vmax)]
                 p0 = [p - pvi * t_ref - vm * lifetime
                       for p, pvi, vm in zip(entry.p, pv, vmax)]

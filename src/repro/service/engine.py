@@ -168,7 +168,7 @@ class _WindowMirror:
         self.space = space
         # oid -> list of (v, p) dual tuples.  A list, not a single slot:
         # the index tolerates duplicate oids per window, and delete
-        # mirrors DualQuadTree._find_entry (exact (v, p) match first,
+        # mirrors NodeCodec.remove_rows (exact (v, p) match first,
         # then any entry of the oid).
         self.entries: Dict[int, List[Tuple[Tuple[float, ...],
                                            Tuple[float, ...]]]] = {}
@@ -249,8 +249,9 @@ class ShardMirror:
         """Remove the mirrored entries of a window group of deletes the
         index accepted.
 
-        Matching mirrors ``DualQuadTree._find_entry``: the exact
-        ``(v, p)`` pair when present, else any entry of the oid.
+        Matching mirrors :meth:`repro.core.nodes.NodeCodec.remove_rows`:
+        the exact ``(v, p)`` pair when present, else any entry of the
+        oid.
         """
         mirror = self._windows.get(window)
         if mirror is None:

@@ -74,7 +74,7 @@ class TestRoundTrips:
             level=data.draw(st.integers(min_value=0, max_value=30)),
             v_corner=data.draw(st.tuples(*[coord] * d)),
             p_corner=data.draw(st.tuples(*[coord] * d)),
-            entries=data.draw(dual_points(d)),
+            rows=codec.pack(data.draw(dual_points(d))),
             overflow=data.draw(st.sampled_from([INVALID_RID, 0, 12345])),
         )
         back = codec.deserialize(codec.serialize(leaf))
@@ -102,7 +102,7 @@ class TestRoundTrips:
     @given(data=st.data())
     def test_extension_round_trip(self, data):
         codec = NodeCodec(2)
-        ext = LeafExtension(entries=data.draw(dual_points(2)),
+        ext = LeafExtension(rows=codec.pack(data.draw(dual_points(2))),
                             overflow=data.draw(
                                 st.sampled_from([INVALID_RID, 77])))
         back = codec.deserialize(codec.serialize(ext))
@@ -113,9 +113,9 @@ class TestRoundTrips:
         codec = NodeCodec(2, float32=True)
         value = 123.456789
         leaf = LeafNode(0, (0.0, 0.0), (0.0, 0.0),
-                        [DualPoint(1, (value, 0.0), (value, 0.0))])
+                        codec.pack([DualPoint(1, (value, 0.0), (value, 0.0))]))
         back = codec.deserialize(codec.serialize(leaf))
-        assert back.entries[0].v[0] == float(np.float32(value))
+        assert codec.points(back.rows)[0].v[0] == float(np.float32(value))
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown node tag"):
@@ -161,13 +161,14 @@ class TestDecodeAnyBuffer:
                 child_is_leaf=data.draw(st.lists(
                     st.booleans(), min_size=fanout, max_size=fanout)),
                 size=data.draw(st.integers(0, 2**32 - 1)))
-        entries = data.draw(layout_points(d, float32, max_size=12))
+        rows = NodeCodec(d, float32).pack(
+            data.draw(layout_points(d, float32, max_size=12)))
         overflow = data.draw(st.sampled_from([INVALID_RID, 0, 2**40]))
         if kind == "leaf":
             return LeafNode(data.draw(st.integers(0, 60)),
                             data.draw(corner), data.draw(corner),
-                            entries, overflow)
-        return LeafExtension(entries, overflow)
+                            rows, overflow)
+        return LeafExtension(rows, overflow)
 
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(["nonleaf", "leaf", "extension"]),
@@ -193,7 +194,7 @@ class TestDecodeAnyBuffer:
                 assert len(back.child_is_leaf) == 4 ** d
                 assert all(type(f) is bool for f in back.child_is_leaf)
             else:
-                assert type(back._rows) is bytes
+                assert type(back.rows) is bytes
         assert decoded[0] == decoded[1] == decoded[2]
         framed[:] = b"\x00" * len(framed)  # a decode keeps no view
         assert decoded[2] == node
@@ -226,11 +227,6 @@ def reference_columns(entries, d):
             np.array([e.p for e in entries], dtype=np.float64))
 
 
-def record_columns(codec, record):
-    """The columns a search reads for one record."""
-    return codec.columns(codec.rows(record))
-
-
 def assert_columns_equal(got, want):
     """Bit-for-bit equality of two ``(oids, vs, ps)`` triples: dtype,
     shape and bytes."""
@@ -253,10 +249,10 @@ RECORD_BYTES = 400
 
 
 class TestColumnarDecode:
-    """Leaf and extension records keep the packed bytes of their entries
-    -- decoding keeps a slice of the record, serializing keeps what it
-    packed -- and a search reads them as columns; the ``entries`` list
-    is only built on first access."""
+    """Leaf and extension records hold their entries as packed rows --
+    decoding keeps a slice of the record, serializing writes the rows
+    -- and a search reads them as columns; ``DualPoint`` lists are only
+    decoded on request (:meth:`NodeCodec.points`)."""
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.integers(min_value=1, max_value=3), float32=st.booleans(),
@@ -266,27 +262,21 @@ class TestColumnarDecode:
         entries = data.draw(layout_points(d, float32))
         overflow = data.draw(st.sampled_from([INVALID_RID, 5, 2**40]))
         if data.draw(st.booleans()):
-            record = LeafNode(3, (0.0,) * d, (1.0,) * d, list(entries),
-                              overflow)
+            record = LeafNode(3, (0.0,) * d, (1.0,) * d,
+                              codec.pack(entries), overflow)
         else:
-            record = LeafExtension(list(entries), overflow)
+            record = LeafExtension(codec.pack(entries), overflow)
         raw = codec.serialize(record)
-        # Serializing keeps the packed entries on the record.
-        assert raw.endswith(record._rows)
-        assert codec.rows(record) is record._rows
+        assert raw.endswith(record.rows)
         back = codec.deserialize(raw)
         assert type(back) is type(record)
-        assert back._entries is None
-        assert back.size == len(entries)
+        assert type(back.rows) is bytes
+        assert len(back.rows) == len(entries) * codec.entry_size
         assert back.overflow == overflow
-        assert back._rows == record._rows
-        assert_columns_equal(record_columns(codec, back),
+        assert back.rows == record.rows
+        assert_columns_equal(codec.columns(back.rows),
                              reference_columns(entries, d))
-        # Materializing leaves the packed bytes object in place.
-        rows = back._rows
-        assert_plain_entries(back.entries, entries)
-        assert back._rows is rows
-        assert codec.rows(back) is rows
+        assert_plain_entries(codec.points(back.rows), entries)
         assert back == record
 
     @settings(max_examples=50, deadline=None)
@@ -305,23 +295,24 @@ class TestColumnarDecode:
         chunks = [entries[:leaf_cap]] + [
             entries[i: i + ext_cap]
             for i in range(leaf_cap, len(entries), ext_cap)]
-        records = [LeafNode(20, (0.0,) * d, (0.0,) * d, chunks[0],
+        records = [LeafNode(20, (0.0,) * d, (0.0,) * d,
+                            codec.pack(chunks[0]),
                             1 if len(chunks) > 1 else INVALID_RID)]
         for k, chunk in enumerate(chunks[1:], start=2):
             records.append(LeafExtension(
-                chunk, k if k < len(chunks) else INVALID_RID))
+                codec.pack(chunk), k if k < len(chunks) else INVALID_RID))
         decoded = [codec.deserialize(codec.serialize(rec))
                    for rec in records]
         for rec, chunk in zip(decoded, chunks):
             assert len(codec.serialize(rec)) <= RECORD_BYTES
-            assert_columns_equal(record_columns(codec, rec),
+            assert_columns_equal(codec.columns(rec.rows),
                                  reference_columns(chunk, d))
         assert [rec.overflow for rec in decoded] \
             == [rec.overflow for rec in records]
-        joined = codec.columns(b"".join(codec.rows(rec) for rec in decoded))
-        assert_columns_equal(joined, reference_columns(entries, d))
-        chained = [e for rec in decoded for e in rec.entries]
-        assert_plain_entries(chained, entries)
+        joined = b"".join(rec.rows for rec in decoded)
+        assert_columns_equal(codec.columns(joined),
+                             reference_columns(entries, d))
+        assert_plain_entries(codec.points(joined), entries)
 
     def test_empty_records(self):
         for float32 in (False, True):
@@ -329,26 +320,10 @@ class TestColumnarDecode:
             for record in (LeafNode(0, (0.0, 0.0), (0.0, 0.0)),
                            LeafExtension()):
                 back = codec.deserialize(codec.serialize(record))
-                assert back.size == 0
-                assert back._rows == b""
-                assert_columns_equal(record_columns(codec, back),
+                assert back.rows == b""
+                assert_columns_equal(codec.columns(back.rows),
                                      reference_columns([], 2))
-                assert back.entries == []
-
-    def test_mutation_invalidates_decoded_columns(self):
-        codec = NodeCodec(2)
-        entries = [DualPoint(i, (float(i), 1.0), (2.0, float(i)))
-                   for i in range(12)]
-        back = codec.deserialize(codec.serialize(
-            LeafNode(0, (0.0, 0.0), (0.0, 0.0), entries)))
-        back.entries.append(DualPoint(99, (9.0, 9.0), (9.0, 9.0)))
-        assert not back._rows_valid()
-        oids = record_columns(codec, back)[0]
-        assert oids.tolist() == list(range(12)) + [99]
-        back.entries = back.entries[:3]
-        assert record_columns(codec, back)[0].tolist() == [0, 1, 2]
-        assert back.size == 3
-        assert back._rows_valid()
+                assert codec.points(back.rows) == []
 
 
 def leaf_records(tree):
@@ -371,10 +346,13 @@ def leaf_records(tree):
     return out
 
 
-def reference_search(regions, segments, d):
+def reference_search(codec, regions, segments):
     """Reference kernel pass over per-record float64 columns built from
-    each record's ``entries``: concatenate, test, force lit ranges."""
-    columns = [reference_columns(rec.entries, d) for rec, _ in segments]
+    each record's decoded entries: concatenate, test, force lit
+    ranges."""
+    d = codec.d
+    columns = [reference_columns(codec.points(rec.rows), d)
+               for rec, _ in segments]
     if not columns:
         return reference_columns([], d)
     oids, vs, ps = (np.concatenate([c[k] for c in columns])
@@ -395,8 +373,8 @@ def reference_search(regions, segments, d):
 class TestPackedRowSearch:
     """Differential: ``search_columns`` over packed rows must be
     byte-equal to a kernel pass over per-record float64 columns, over a
-    mix of records decoded from bytes, serialized in memory, and
-    changed in memory after serializing (grown, shrunk, replaced), with
+    mix of records decoded from bytes, kept from writing, and whose rows
+    changed in memory after writing (grown, shrunk, replaced), with
     overflow chains and all-INSIDE (lit) subtrees."""
 
     ACTIONS = ("decoded", "serialized", "grown", "shrunk", "replaced")
@@ -432,19 +410,22 @@ class TestPackedRowSearch:
         tree.insert_batch(points[::2])
         tree.insert_batch(points[1::2])
         frames = tree.store.pool._frames
+        codec = tree.codec
+        size = codec.entry_size
         oid = 20_000
         for rid, rec in leaf_records(tree).items():
             action = data.draw(st.sampled_from(self.ACTIONS))
             if action == "decoded":
                 frames[rid // MAX_SLOTS_PER_PAGE].decoded.pop(rid)
             elif action == "grown":
-                rec.entries.append(point(oid))
+                rec.rows += codec.pack([point(oid)])
                 oid += 1
-            elif action == "shrunk" and rec.size:
-                rec.entries.pop(rng.randrange(rec.size))
+            elif action == "shrunk" and rec.rows:
+                k = rng.randrange(len(rec.rows) // size)
+                rec.rows = rec.rows[:k * size] + rec.rows[(k + 1) * size:]
             elif action == "replaced":
-                rec.entries = [point(oid + k)
-                               for k in range(rng.randint(0, 5))]
+                rec.rows = codec.pack([point(oid + k)
+                                       for k in range(rng.randint(0, 5))])
                 oid += 5
         segments_seen = []
         resolve = tree._resolve_columns
@@ -468,13 +449,13 @@ class TestPackedRowSearch:
                                           space.lifetime, space.t_ref)
             got = tree.search_columns(regions)
             assert_columns_equal(
-                got, reference_search(regions, segments_seen[-1], d))
+                got, reference_search(codec, regions, segments_seen[-1]))
 
 
 class TestCheckGuardsPackedRows:
-    """``check()`` compares every record's valid rows with the packing of
-    its entries and its kept rows with the rows on its page, so stale
-    rows fail the checker, not only the answers."""
+    """``check()`` compares every record's rows with the rows on its
+    page, so rows edited but never written fail the checker, not only
+    the answers."""
 
     @staticmethod
     def _tree():
@@ -493,28 +474,18 @@ class TestCheckGuardsPackedRows:
         assert tree.check() == []
         return tree
 
-    def test_stale_rows_fail_check(self):
-        tree = self._tree()
-        rid, rec = next((rid, rec) for rid, rec in leaf_records(tree).items()
-                        if rec.size)
-        # Changed in place at the same length: the rows still look valid.
-        rec.entries[0] = rec.entries[0]._replace(oid=-1)
-        assert rec._rows_valid()
-        assert tree.check() == [
-            f"record {rid} holds packed rows that differ from its entries"]
-
     @pytest.mark.parametrize("edit", ["remove", "append"])
     def test_unwritten_row_edit_fails_check(self, edit):
-        """Writes edit a record's kept rows; rows edited but never
-        written differ from the page and fail the checker."""
+        """Writes edit a record's rows; rows edited but never written
+        differ from the page and fail the checker."""
         tree = self._tree()
         rid, rec = next((rid, rec) for rid, rec in leaf_records(tree).items()
-                        if rec.size)
-        first = tree.codec._unpack_entries(tree.codec.rows(rec))[0]
+                        if rec.rows)
+        first = tree.codec.points(rec.rows)[0]
         if edit == "remove":
-            assert tree.codec.remove_rows(rec, [first]) == [True]
+            rec.rows, flags = tree.codec.remove_rows(rec.rows, [first])
+            assert flags == [True]
         else:
-            tree.codec.append_rows(rec, [first._replace(oid=-1)])
-        assert rec._entries is None
+            rec.rows += tree.codec.pack([first._replace(oid=-1)])
         assert (f"record {rid} keeps packed rows that differ from its page"
                 in tree.check())

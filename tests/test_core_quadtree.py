@@ -58,7 +58,7 @@ def check_invariants(tree):
             assert node.level == level <= tree.config.max_depth
             assert node.v_corner == v_corner
             assert node.p_corner == p_corner
-            entries = tree._leaf_all_entries(node)
+            entries = tree.codec.points(tree._leaf_rows(node))
             for entry in entries:
                 for i in range(tree.d):
                     assert v_corner[i] <= entry.v[i] <= v_corner[i] + sl_v[i]

@@ -323,18 +323,18 @@ class TestNodeCacheMiss:
         cache = NodeCache(store, codec.serialize, codec.deserialize)
         points = [DualPoint(oid, (oid + 0.5, 1.0), (2.0, oid * 3.0))
                   for oid in range(5)]
-        node = (LeafNode(3, (0.0, 0.0), (8.0, 8.0), list(points))
-                if record == "leaf" else LeafExtension(list(points)))
+        node = (LeafNode(3, (0.0, 0.0), (8.0, 8.0), codec.pack(points))
+                if record == "leaf" else LeafExtension(codec.pack(points)))
         rid = cache.insert(1000, node)
         page = store.pool._frames[rid_page(rid)]
         page.decoded.clear()
         got = cache.get(rid)
         assert page.decoded[rid] is got
-        assert type(got._rows) is bytes
-        rows = bytes(got._rows)
+        assert type(got.rows) is bytes
+        rows = bytes(got.rows)
         page.data[:] = b"\xff" * len(page.data)  # in place, same buffer
-        assert got._rows == rows
-        assert got.entries == points
+        assert got.rows == rows
+        assert codec.points(got.rows) == points
 
 
 def _pad(value: str) -> bytes:
