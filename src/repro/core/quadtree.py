@@ -33,6 +33,7 @@ spill into overflow extension records rather than splitting forever.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -729,12 +730,14 @@ class DualQuadTree:
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Matching entries as ``(oids, vs, ps)`` numpy columns.
 
-        The descent classifies each node's child quads and queues every
-        leaf record it must read as a ``(record, lit)`` segment: ``lit``
-        records belong to all-INSIDE subtrees and are reported wholesale,
-        the others are filtered by the membership kernels in
-        :meth:`_resolve_columns`.  Candidates never leave column form, so
-        the caller's refinement (the exact common-instant check in
+        One descent (:meth:`_descend`) classifies each plane cell once
+        and appends the packed rows of every leaf record it must read to
+        one list, in descent order.  The rows of an all-INSIDE subtree
+        are marked as a lit span of that list: they are reported
+        wholesale, never re-tested.  :meth:`_filter_rows` joins the list
+        once, views it as columns and narrows the other rows plane by
+        plane.  Candidates never leave column form, so the caller's
+        refinement (the exact common-instant check in
         :mod:`repro.core.stripes`) runs directly on the returned columns,
         and no record's rows are decoded into ``DualPoint`` objects.
         Rows are in descent order.
@@ -744,125 +747,154 @@ class DualQuadTree:
         classifications, entries scanned -- at a small per-node cost; the
         default ``None`` leaves the hot path untouched.
         """
-        segments = self._segments(regions, self._report_subtree, trace)
+        parts: List[bytes] = []
+        lit: List[Tuple[int, int]] = []
+
+        def report(rid: int, is_leaf: bool) -> None:
+            start = len(parts)
+            self._collect_rows(rid, is_leaf, parts, trace)
+            lit.append((start, len(parts)))
+
+        self._descend(regions, parts, report, trace)
         self.counters.searches += 1
-        return self._resolve_columns(regions, segments, trace)
+        return self._filter_rows(regions, parts, lit, trace)
 
-    def _segments(self, regions: Tuple[QueryRegion2D, ...], report,
-                  trace: Optional[DescentTrace] = None) -> List[tuple]:
-        """Run the descent from the root and return its segments.
+    def count_in_regions(self, regions: Tuple[QueryRegion2D, ...]) -> int:
+        """Number of entries inside the query body.
 
-        ``report(rid, is_leaf, segments, trace)`` queues an all-INSIDE
-        child: :meth:`_report_subtree` for a search, :meth:`_report_size`
-        for a count.
+        The search descent, except that its report adds an all-INSIDE
+        child's entries into a running total: a non-leaf child is read
+        once and counted by its stored ``size`` (Section 4.2), so below
+        it no leaf page is read -- the aggregate-query payoff of keeping
+        sizes in non-leaf nodes.  The rows the descent collects go
+        through the search kernels.  Exact for time-slice query regions;
+        for window/moving queries the result counts region candidates (a
+        superset of true matches, see :meth:`search_columns`).
+        """
+        parts: List[bytes] = []
+        total = 0
+        size = self.codec.entry_size
+
+        def report(rid: int, is_leaf: bool) -> None:
+            nonlocal total
+            rec = self.cache.get(rid)
+            total += len(self._leaf_rows(rec)) // size if is_leaf \
+                else rec.size
+
+        self._descend(regions, parts, report)
+        return total + len(self._filter_rows(regions, parts, [])[0])
+
+    def _descend(self, regions: Tuple[QueryRegion2D, ...],
+                 parts: List[bytes], report,
+                 trace: Optional[DescentTrace] = None) -> None:
+        """Run the search descent from the root.
+
+        The packed rows of every leaf record to filter are appended to
+        ``parts`` (a leaf with an overflow chain as one joined part);
+        every all-INSIDE child goes to ``report(rid, is_leaf)``.  The
+        per-plane cell memos live for this one descent.
         """
         if len(regions) != self.d:
             raise ValueError(
                 f"expected {self.d} query regions, got {len(regions)}")
-        segments: List[tuple] = []
         root = self.cache.get(self._root_rid)
         if self._root_is_leaf:
-            self._defer_leaf(root, segments)
+            if trace is not None:
+                trace.leaf_visits += 1
+            parts.append(self._leaf_rows(root))
         else:
-            self._search_nonleaf(root, regions, segments, report, trace, 0)
-        return segments
+            self._search_nonleaf(root, regions, tuple({} for _ in regions),
+                                 parts, report, trace, 0)
 
-    def _resolve_columns(self, regions: Tuple[QueryRegion2D, ...],
-                         segments: List[tuple],
-                         trace: Optional[DescentTrace] = None
-                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Kernel pass over the collected segments, staying columnar.
+    def _filter_rows(self, regions: Tuple[QueryRegion2D, ...],
+                     parts: List[bytes], lit: List[Tuple[int, int]],
+                     trace: Optional[DescentTrace] = None
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of ``parts`` inside the query body, as columns in
+        descent order.
 
-        Lit (all-INSIDE) rows bypass the kernels by forcing their mask
-        range to True: re-testing them could disagree with the rectangle
+        Plane 0's kernel tests every row; each later plane tests only the
+        rows still standing.  The rows of a lit span (``(start, end)``
+        indexes into ``parts``) are forced through every plane: a
+        kernel's verdict on them could disagree with the rectangle
         classification by an ulp at region boundaries.
         """
-        size = self.codec.entry_size
-        parts = []
-        lit_ranges = []
-        any_pending = False
-        off = 0
-        for rec, lit in segments:
-            rows = rec.rows
-            parts.append(rows)
-            end = off + len(rows) // size
-            if lit:
-                lit_ranges.append((off, end))
-            else:
-                any_pending = True
-            off = end
         oids, vs, ps = self.codec.columns(b"".join(parts))
-        if any_pending:
+        n = len(oids)
+        lit_rows = 0
+        lit_mask = None
+        if lit:
+            size = self.codec.entry_size
+            offsets = list(accumulate(map(len, parts), initial=0))
+            lit_mask = np.zeros(n, dtype=bool)
+            for start, end in lit:
+                lo = offsets[start] // size
+                hi = offsets[end] // size
+                lit_mask[lo:hi] = True
+                lit_rows += hi - lo
+        if lit_rows < n:
             mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
+            if lit_mask is not None:
+                mask |= lit_mask
+            keep = np.flatnonzero(mask)
             for i in range(1, self.d):
-                mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
-            for lo, hi in lit_ranges:
-                mask[lo:hi] = True
-            oids, vs, ps = oids[mask], vs[mask], ps[mask]
+                passed = regions[i].contains_batch(vs[keep, i], ps[keep, i])
+                if lit_mask is not None:
+                    passed |= lit_mask[keep]
+                keep = keep[passed]
+            oids, vs, ps = oids[keep], vs[keep], ps[keep]
         if trace is not None:
-            for rec, lit in segments:
-                if type(rec) is LeafNode:
-                    trace.leaf_visits += 1
-                if lit:
-                    trace.entries_reported += len(rec.rows) // size
-                else:
-                    trace.entries_scanned += len(rec.rows) // size
+            trace.entries_reported += lit_rows
+            trace.entries_scanned += n - lit_rows
             trace.candidates += len(oids)
         return oids, vs, ps
 
-    def _defer_leaf(self, leaf: LeafNode, segments: List[tuple],
-                    lit: bool = False) -> None:
-        """Queue a leaf and its overflow chain as segments."""
-        segments.append((leaf, lit))
-        rid = leaf.overflow
-        while rid != INVALID_RID:
-            ext = self.cache.get(rid)
-            segments.append((ext, lit))
-            rid = ext.overflow
-
     def _search_nonleaf(self, node: NonLeafNode,
-                        regions: Tuple[QueryRegion2D, ...],
-                        segments: List[tuple], report,
+                        regions: Tuple[QueryRegion2D, ...], memos: tuple,
+                        parts: List[bytes], report,
                         trace: Optional[DescentTrace], depth: int) -> None:
-        """Classify ``node``'s children and queue their matching leaf
-        records into ``segments``.
+        """Classify ``node``'s children and append the rows of their
+        matching leaf records to ``parts``.
 
         Child ``base + c`` is visited for every ``(base, rb)`` in
         ``outer`` and ``(c, r)`` in ``inner`` -- the children no plane
         finds DISJUNCT, in ascending child index order.  It lies inside
         the query body when ``rb`` and ``r`` are both INSIDE; then
-        ``report`` queues it without further geometry tests.
+        ``report`` takes it without further geometry tests.  ``memos``
+        holds one ``{(level, v, p): cell}`` dict per plane
+        (:meth:`_classify_cell`): a node's class in plane ``i`` depends
+        only on its level and plane-``i`` corner, so nodes sharing that
+        cell share one classification.
         """
-        level1 = node.level + 1
-        sides = self._sides_table
-        sl_v, sl_p = (sides[level1] if level1 < len(sides)
-                      else self._child_sides(level1))
         if self._fast_descent:
-            # Two dimensions with the shared classification, inline:
-            # each plane's four quads are classified once and one
-            # DISJUNCT plane-1 code skips its whole block of four
-            # children.
+            # Two dimensions with the shared classification, inline: one
+            # memo probe per plane, and one DISJUNCT plane-1 code skips
+            # its whole block of four children.
             vc = node.v_corner
             pc = node.p_corner
-            r0q, r1q = regions
-            v_mid = vc[0] + sl_v[0]
-            p_mid = pc[0] + sl_p[0]
-            rel0 = r0q.classify_quads(vc[0], v_mid, v_mid + sl_v[0],
-                                      pc[0], p_mid, p_mid + sl_p[0])
-            v_mid = vc[1] + sl_v[1]
-            p_mid = pc[1] + sl_p[1]
-            rel1 = r1q.classify_quads(vc[1], v_mid, v_mid + sl_v[1],
-                                      pc[1], p_mid, p_mid + sl_p[1])
-            disjunct = RelPos.DISJUNCT
-            inner = [(c, r) for c, r in enumerate(rel0) if r is not disjunct]
-            outer = [(c << 2, r) for c, r in enumerate(rel1)
-                     if r is not disjunct]
-            classified = (rel0, rel1)
+            level = node.level
+            memo0, memo1 = memos
+            key = (level, vc[0], pc[0])
+            cell0 = memo0.get(key)
+            if cell0 is None:
+                cell0 = memo0[key] = self._classify_cell(
+                    regions[0], 0, level, vc[0], pc[0])
+            key = (level, vc[1], pc[1])
+            cell1 = memo1.get(key)
+            if cell1 is None:
+                cell1 = memo1[key] = self._classify_cell(
+                    regions[1], 1, level, vc[1], pc[1])
+            inner = cell0[1]
+            outer = cell1[1]
+            if trace is not None:
+                self._trace_nonleaf(node, outer, inner,
+                                    (cell0[0], cell1[0]), trace, depth)
         else:
             outer, inner, classified = self._plane_codes(node, regions,
-                                                         sl_v, sl_p)
-        if trace is not None:
-            self._trace_nonleaf(node, outer, inner, classified, trace, depth)
+                                                         memos)
+            if trace is not None:
+                self._trace_nonleaf(node, outer, inner, classified, trace,
+                                    depth)
         children = node.children
         child_is_leaf = node.child_is_leaf
         inside = RelPos.INSIDE
@@ -872,11 +904,13 @@ class DualQuadTree:
         # The child lookup below is cache.get's hit path unrolled into
         # the loop: resident frame -> its decoded record, counted as the
         # logical read and LRU move a fetch makes.  Anything else (page
-        # not resident, record not decoded) goes through cache.get.
+        # not resident, record not decoded) goes through cache.get with
+        # the frame already looked up.
         pool = cache.store.pool
         frames_get = pool._frames.get
         frames_move = pool._frames.move_to_end
         iostats = pool.stats
+        parts_append = parts.append
         search_nonleaf = self._search_nonleaf
         depth1 = depth + 1
         for base, rb in outer:
@@ -886,47 +920,66 @@ class DualQuadTree:
                 if child_rid == invalid:
                     continue
                 if r is inside and rb is inside:
-                    report(child_rid, child_is_leaf[idx], segments, trace)
+                    report(child_rid, child_is_leaf[idx])
                     continue
                 page_id = child_rid // MAX_SLOTS_PER_PAGE
                 page = frames_get(page_id)
-                child = (page.decoded.get(child_rid) if page is not None
-                         else None)
-                if child is not None:
+                if page is None:
+                    child = cache_get(child_rid, None)
+                else:
                     iostats.logical_reads += 1
                     frames_move(page_id)
-                    cache.hits += 1
-                else:
-                    child = cache_get(child_rid)
+                    child = page.decoded.get(child_rid)
+                    if child is None:
+                        child = cache_get(child_rid, page)
+                    else:
+                        cache.hits += 1
                 if not child_is_leaf[idx]:
-                    search_nonleaf(child, regions, segments, report, trace,
-                                   depth1)
+                    search_nonleaf(child, regions, memos, parts, report,
+                                   trace, depth1)
                 elif child.overflow == invalid:
-                    segments.append((child, False))
+                    parts_append(child.rows)
                 else:
-                    self._defer_leaf(child, segments)
+                    parts_append(self._leaf_rows(child))
+
+    def _classify_cell(self, region: QueryRegion2D, i: int, level: int,
+                       v: float, p: float):
+        """One plane cell, as the per-search memos keep it: ``(rels,
+        codes)``, where ``rels`` is ``region.classify_quads`` of the
+        plane-``i`` quads of a level-``level`` node cornered at ``(v,
+        p)``, and ``codes`` lists the non-DISJUNCT ones as ``(code << 2i,
+        rel)`` -- their part of a child index."""
+        sl_v, sl_p = self._child_sides(level + 1)
+        v_mid = v + sl_v[i]
+        p_mid = p + sl_p[i]
+        rels = region.classify_quads(v, v_mid, v_mid + sl_v[i],
+                                     p, p_mid, p_mid + sl_p[i])
+        shift = 2 * i
+        disjunct = RelPos.DISJUNCT
+        return rels, [(c << shift, r) for c, r in enumerate(rels)
+                      if r is not disjunct]
 
     def _plane_codes(self, node: NonLeafNode,
-                     regions: Tuple[QueryRegion2D, ...],
-                     sl_v: Tuple[float, ...], sl_p: Tuple[float, ...]):
+                     regions: Tuple[QueryRegion2D, ...], memos: tuple):
         """``(outer, inner, classified)`` for :meth:`_search_nonleaf` in
         any dimensionality, and for ablation A2.
 
         With the shared classification, ``inner`` holds plane 0's
         non-DISJUNCT quad codes and ``outer`` the non-DISJUNCT
         combinations of the other planes (INSIDE only if INSIDE in every
-        one of them).  Under A2 (``quad_pruning=False``) each present
-        child is classified on its own with
-        :meth:`QueryRegion2D.classify_rect`, plane by plane up to the
-        first DISJUNCT plane, and ``inner`` lists the surviving child
+        one of them), each plane's cell taken from ``memos``.  Under A2
+        (``quad_pruning=False``) each present child is classified on its
+        own with :meth:`QueryRegion2D.classify_rect`, plane by plane up to
+        the first DISJUNCT plane, and ``inner`` lists the surviving child
         indexes.  ``classified`` holds every classification made, per
         plane or per child, for the trace.
         """
         vc = node.v_corner
         pc = node.p_corner
         inside = RelPos.INSIDE
-        disjunct = RelPos.DISJUNCT
         if not self._quad_pruning:
+            disjunct = RelPos.DISJUNCT
+            sl_v, sl_p = self._child_sides(node.level + 1)
             inner = []
             classified = []
             for idx in node.present_children():
@@ -945,19 +998,20 @@ class DualQuadTree:
                     inner.append(
                         (idx, inside if all_inside else RelPos.OVERLAP))
             return [(0, inside)], inner, classified
-        planes = []
-        for i in range(self.d):
-            v_mid = vc[i] + sl_v[i]
-            p_mid = pc[i] + sl_p[i]
-            planes.append(regions[i].classify_quads(
-                vc[i], v_mid, v_mid + sl_v[i], pc[i], p_mid, p_mid + sl_p[i]))
-        inner = [(c, r) for c, r in enumerate(planes[0]) if r is not disjunct]
+        level = node.level
+        cells = []
+        for i, memo in enumerate(memos):
+            key = (level, vc[i], pc[i])
+            cell = memo.get(key)
+            if cell is None:
+                cell = memo[key] = self._classify_cell(
+                    regions[i], i, level, vc[i], pc[i])
+            cells.append(cell)
         outer = [(0, inside)]
-        for i in range(self.d - 1, 0, -1):
-            outer = [(base | (c << (2 * i)), r if rb is inside else rb)
-                     for base, rb in outer
-                     for c, r in enumerate(planes[i]) if r is not disjunct]
-        return outer, inner, planes
+        for _, codes in reversed(cells[1:]):
+            outer = [(base | code, r if rb is inside else rb)
+                     for base, rb in outer for code, r in codes]
+        return outer, cells[0][1], [rels for rels, _ in cells]
 
     @staticmethod
     def _trace_nonleaf(node: NonLeafNode, outer, inner, classified,
@@ -976,7 +1030,7 @@ class DualQuadTree:
                 else:
                     trace.quads_overlap += 1
         children = node.children
-        live = reported = 0
+        live = reported = leaves = 0
         deepest = depth
         for base, rb in outer:
             for c, r in inner:
@@ -988,56 +1042,12 @@ class DualQuadTree:
                     reported += 1
                 elif node.child_is_leaf[idx]:
                     deepest = depth + 1
+                    leaves += 1
         trace.max_depth = max(trace.max_depth, deepest)
+        trace.leaf_visits += leaves
         trace.children_pruned += len(node.present_children()) - live
         trace.children_reported += reported
         trace.children_recursed += live - reported
-
-    def count_in_regions(self, regions: Tuple[QueryRegion2D, ...]) -> int:
-        """Number of entries inside the query body.
-
-        The search descent, except that an all-INSIDE child is read once
-        and counted by its stored ``size`` (Section 4.2): below a
-        non-leaf child no leaf page is read -- the aggregate-query
-        payoff of keeping sizes in non-leaf nodes.  The other queued
-        leaf records go through the search kernels.  Exact for
-        time-slice query regions; for window/moving queries the result
-        counts region candidates (a superset of true matches, see
-        :meth:`search_columns`).
-        """
-        segments = self._segments(regions, self._report_size)
-        pending = [seg for seg in segments if not seg[1]]
-        size = self.codec.entry_size
-        return (sum(rec.size if type(rec) is NonLeafNode
-                    else len(rec.rows) // size
-                    for rec, lit in segments if lit)
-                + len(self._resolve_columns(regions, pending)[0]))
-
-    def _report_subtree(self, rid: int, is_leaf: bool,
-                        segments: List[tuple],
-                        trace: Optional[DescentTrace] = None) -> None:
-        """Queue every leaf record of an all-INSIDE subtree as a lit
-        segment: reported wholesale, never re-tested."""
-        if is_leaf:
-            self._defer_leaf(self.cache.get(rid), segments, lit=True)
-            return
-        node = self.cache.get(rid)
-        if trace is not None:
-            trace.nonleaf_visits += 1
-        for idx in node.present_children():
-            self._report_subtree(node.children[idx], node.child_is_leaf[idx],
-                                 segments, trace)
-
-    def _report_size(self, rid: int, is_leaf: bool, segments: List[tuple],
-                     trace: Optional[DescentTrace] = None) -> None:
-        """Queue an all-INSIDE child as lit segments for a count: the
-        record alone, whose ``size`` covers its subtree, or a leaf with
-        its overflow chain."""
-        rec = self.cache.get(rid)
-        if is_leaf:
-            self._defer_leaf(rec, segments, lit=True)
-        else:
-            segments.append((rec, True))
 
     # ------------------------------------------------------------------ #
     # Bulk access, teardown, statistics
@@ -1056,15 +1066,22 @@ class DualQuadTree:
         self._collect_rows(rid, is_leaf, parts)
         return b"".join(parts)
 
-    def _collect_rows(self, rid: int, is_leaf: bool,
-                      out: List[bytes]) -> None:
-        if is_leaf:
-            out.append(self._leaf_rows(self.cache.get(rid)))
-            return
+    def _collect_rows(self, rid: int, is_leaf: bool, out: List[bytes],
+                      trace: Optional[DescentTrace] = None) -> None:
+        """Append the packed rows of a subtree's leaves to ``out``, one
+        part per leaf and its chain; ``trace`` counts the visits (a
+        search's all-INSIDE subtree)."""
         node = self.cache.get(rid)
+        if is_leaf:
+            if trace is not None:
+                trace.leaf_visits += 1
+            out.append(self._leaf_rows(node))
+            return
+        if trace is not None:
+            trace.nonleaf_visits += 1
         for idx in node.present_children():
             self._collect_rows(node.children[idx], node.child_is_leaf[idx],
-                               out)
+                               out, trace)
 
     def _free_subtree(self, rid: int, is_leaf: bool) -> None:
         if is_leaf:

@@ -420,6 +420,9 @@ class RecordStore:
 
 T = TypeVar("T")
 
+#: Default of :meth:`NodeCache.get`'s ``page``: not looked up yet.
+_UNSEEN = object()
+
 
 class NodeCache(Generic[T]):
     """Decoded-node cache held on buffer-pool frames, with write-through
@@ -459,22 +462,31 @@ class NodeCache(Generic[T]):
         self.hits = 0
         self.misses = 0
 
-    def get(self, rid: int) -> T:
+    def get(self, rid: int, page=_UNSEEN) -> T:
         """Fetch the node for ``rid`` (the page access always goes through
-        the buffer pool; deserialization is skipped on decoded hits)."""
+        the buffer pool; deserialization is skipped on decoded hits).
+
+        A caller that has already looked ``rid``'s page up in the pool
+        passes what it found as ``page``: ``None`` when the page is not
+        resident, else its frame, on which the caller has counted the
+        logical read and LRU move and found ``rid`` not decoded.  The
+        lookups are then not made twice (the search descent's inline hit
+        path, :meth:`repro.core.quadtree.DualQuadTree._search_nonleaf`).
+        """
         pool = self.store.pool
-        frames = pool._frames
         page_id = rid // MAX_SLOTS_PER_PAGE
-        page = frames.get(page_id)
-        if page is not None:
-            # What fetching and unpinning a resident page counts: one
-            # logical read and the move to the LRU end.
-            pool.stats.logical_reads += 1
-            frames.move_to_end(page_id)
-            obj = page.decoded.get(rid)
-            if obj is not None:
-                self.hits += 1
-                return obj
+        if page is _UNSEEN:
+            frames = pool._frames
+            page = frames.get(page_id)
+            if page is not None:
+                # What fetching and unpinning a resident page counts: one
+                # logical read and the move to the LRU end.
+                pool.stats.logical_reads += 1
+                frames.move_to_end(page_id)
+                obj = page.decoded.get(rid)
+                if obj is not None:
+                    self.hits += 1
+                    return obj
         meta = self.store._page_meta.get(page_id)
         if meta is None:
             raise KeyError(f"record {rid} does not exist")

@@ -346,28 +346,41 @@ def leaf_records(tree):
     return out
 
 
-def reference_search(codec, regions, segments):
-    """Reference kernel pass over per-record float64 columns built from
-    each record's decoded entries: concatenate, test, force lit
-    ranges."""
+def reference_search(codec, regions, parts, lit):
+    """Reference kernel pass over per-part float64 columns built from
+    each part's decoded entries: concatenate, test every plane on every
+    row, force the rows of the lit spans (``(start, end)`` indexes into
+    ``parts``)."""
     d = codec.d
-    columns = [reference_columns(codec.points(rec.rows), d)
-               for rec, _ in segments]
+    columns = [reference_columns(codec.points(part), d) for part in parts]
     if not columns:
         return reference_columns([], d)
     oids, vs, ps = (np.concatenate([c[k] for c in columns])
                     for k in range(3))
-    if all(lit for _, lit in segments):
+    lit_parts = {k for start, end in lit for k in range(start, end)}
+    if len(lit_parts) == len(parts):
         return oids, vs, ps
     mask = regions[0].contains_batch(vs[:, 0], ps[:, 0])
     for i in range(1, d):
         mask &= regions[i].contains_batch(vs[:, i], ps[:, i])
     off = 0
-    for (_, lit), c in zip(segments, columns):
-        if lit:
+    for k, c in enumerate(columns):
+        if k in lit_parts:
             mask[off: off + len(c[0])] = True
         off += len(c[0])
     return oids[mask], vs[mask], ps[mask]
+
+
+def random_lit_spans(rng, n_parts):
+    """Disjoint ascending ``(start, end)`` spans over ``n_parts`` parts,
+    each with a pending part on both sides when there is room."""
+    spans = []
+    k = 1
+    while k < n_parts - 1:
+        end = min(k + rng.randint(1, 3), n_parts - 1)
+        spans.append((k, end))
+        k = end + rng.randint(1, 3)
+    return spans
 
 
 class TestPackedRowSearch:
@@ -375,7 +388,14 @@ class TestPackedRowSearch:
     byte-equal to a kernel pass over per-record float64 columns, over a
     mix of records decoded from bytes, kept from writing, and whose rows
     changed in memory after writing (grown, shrunk, replaced), with
-    overflow chains and all-INSIDE (lit) subtrees."""
+    overflow chains and all-INSIDE (lit) subtrees.
+
+    The descent hands :meth:`DualQuadTree._filter_rows` a list of packed
+    row parts and lit spans over it; the reference takes the same
+    hand-off.  The hand-off is also driven directly with lit spans
+    placed between pending parts, and with every part lit, and a search
+    of a query body covering the whole space reports every subtree
+    lit."""
 
     ACTIONS = ("decoded", "serialized", "grown", "shrunk", "replaced")
 
@@ -427,14 +447,14 @@ class TestPackedRowSearch:
                 rec.rows = codec.pack([point(oid + k)
                                        for k in range(rng.randint(0, 5))])
                 oid += 5
-        segments_seen = []
-        resolve = tree._resolve_columns
+        handoffs = []
+        filter_rows = tree._filter_rows
 
-        def spy(regions, segments, trace=None):
-            segments_seen.append(list(segments))
-            return resolve(regions, segments, trace)
+        def spy(regions, parts, lit, trace=None):
+            handoffs.append((list(parts), list(lit)))
+            return filter_rows(regions, parts, lit, trace)
 
-        tree._resolve_columns = spy
+        tree._filter_rows = spy
         for _ in range(4):
             t = rng.uniform(0.0, 10.0)
             span = rng.choice((10.0, 60.0, 400.0))
@@ -449,7 +469,27 @@ class TestPackedRowSearch:
                                           space.lifetime, space.t_ref)
             got = tree.search_columns(regions)
             assert_columns_equal(
-                got, reference_search(codec, regions, segments_seen[-1]))
+                got, reference_search(codec, regions, *handoffs[-1]))
+            # The same rows with lit spans between pending ones, and all
+            # of them lit.
+            parts = [rec.rows for rec in leaf_records(tree).values()]
+            for lit in (random_lit_spans(rng, len(parts)),
+                        [(0, len(parts))]):
+                assert_columns_equal(
+                    filter_rows(regions, parts, lit),
+                    reference_search(codec, regions, parts, lit))
+        everything = TimeSliceQuery((-1e6,) * d, (1e6,) * d, 5.0)
+        regions = build_query_regions(everything.as_moving(), space.vmax,
+                                      space.lifetime, space.t_ref)
+        got = tree.search_columns(regions)
+        parts, lit = handoffs[-1]
+        if not tree._root_is_leaf:
+            assert [k for start, end in lit for k in range(start, end)] \
+                == list(range(len(parts)))
+        assert_columns_equal(got, reference_search(codec, regions, parts,
+                                                   lit))
+        assert len(got[0]) == sum(len(rec.rows) // size for rec in
+                                  leaf_records(tree).values())
 
 
 class TestCheckGuardsPackedRows:

@@ -445,6 +445,39 @@ class TestExplainTracesTheDescent:
                 (diff.logical_reads, diff.physical_reads)
 
 
+class TestClassifyOnce:
+    """A search classifies each plane cell -- ``(plane, level, corner)``
+    -- at most once: a node's class in plane ``i`` depends only on its
+    level and plane-``i`` corner, so nodes sharing that cell share one
+    ``classify_quads`` call.  ``explain()`` still counts the quads of
+    every node visit (:data:`GOLDEN_TRACE`)."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_each_plane_cell_classified_once(self, d, monkeypatch):
+        calls = []
+        real = QueryRegion2D.classify_quads
+
+        def recording(self, *args):
+            calls.append((id(self), args))
+            return real(self, *args)
+
+        monkeypatch.setattr(QueryRegion2D, "classify_quads", recording)
+        made = per_visit = 0
+        for index, query, explain in golden_explain_pass(d, True):
+            moving = query.as_moving()
+            for tree in index._trees.values():
+                regions = build_query_regions(
+                    moving, index.config.vmax, index.config.lifetime,
+                    tree.space.t_ref)
+                del calls[:]
+                tree.search_columns(regions)
+                # One region per plane; the arguments fix level and corner.
+                assert len(calls) == len(set(calls))
+                made += len(calls)
+            per_visit += explain.total_trace().quads_classified // 4
+        assert 0 < made < per_visit
+
+
 class TestDecodedNodeCacheGenerations:
     """A raw store write must invalidate the decoded-object cache."""
 
