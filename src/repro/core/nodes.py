@@ -19,13 +19,17 @@ and the level.
 All integers are little-endian; coordinates are 8-byte floats by default or
 4-byte floats in the paper-faithful ``float32`` layout.
 
+A record is decoded in place, from the buffer that holds it
+(``deserialize(buf, offset)``, as the node cache hands over a frame), and
+the decoded node keeps no reference into that buffer.
+
 A leaf or extension record holds its entries only in that on-page
-layout: the *packed rows*.  Decoding a record keeps a slice of its bytes
-and serializing one writes its rows.  A search joins the rows of every
-record it reads and views them as numpy columns once
-(:meth:`NodeCodec.columns`).  Every write works on rows too: an insert
-into a leaf with room appends packed rows, a delete splices rows out
-(:meth:`NodeCodec.remove_rows`), and the paths that rebuild records
+layout: the *packed rows*.  Decoding a record copies its rows once, into
+``bytes`` of their own, and serializing one writes its rows.  A search
+joins the rows of every record it reads and views them as numpy columns
+once (:meth:`NodeCodec.columns`).  Every write works on rows too: an
+insert into a leaf with room appends packed rows, a delete splices rows
+out (:meth:`NodeCodec.remove_rows`), and the paths that rebuild records
 (promotions, overflow chains, splits, collapses) join, slice and
 partition rows.  ``DualPoint`` objects are decoded from rows
 (:meth:`NodeCodec.points`) only for an extension (kNN, join), a checker,
@@ -100,9 +104,9 @@ class _LeafRecord:
     ``rows`` holds the record's entries as packed rows, the bytes of the
     on-page entry layout (:attr:`NodeCodec._entry_dtype`); the entry
     count is ``len(rows) // NodeCodec.entry_size``.  A record decoded
-    from a page keeps a bytes slice of it, and serializing writes
-    ``rows`` after the header, so the rows are the only copy of the
-    entries.  ``overflow`` is the record id of the next record of an
+    from a page keeps a ``bytes`` copy of its rows, and serializing
+    writes ``rows`` after the header, so the rows are the only copy of
+    the entries.  ``overflow`` is the record id of the next record of an
     overflow chain, or :data:`INVALID_RID`.
     """
 
@@ -189,6 +193,10 @@ class NodeCodec:
         # the memo stays small.
         self._entry_fmt = f"q{2 * d}{coord}"
         self._entry_batch: dict[int, struct.Struct] = {}
+        # Decoding copies a record's rows with one pre-compiled
+        # ``{n}s`` Struct, keyed by entry count (bounded by the record
+        # capacity).
+        self._rows_batch: dict[int, struct.Struct] = {}
         # The same entry layout as a numpy structured dtype (v
         # coordinates, then p coordinates, after the oid): packed rows
         # are read through it as columns and as entries.
@@ -236,14 +244,17 @@ class NodeCodec:
             return self._serialize_extension(node)
         raise TypeError(f"cannot serialize {type(node).__name__}")
 
-    def deserialize(self, raw: bytes) -> Node:
-        tag = raw[0]
+    def deserialize(self, buf, offset: int = 0) -> Node:
+        """Decode the record at ``offset`` of ``buf`` (any bytes-like
+        object; bytes past the record are ignored).  The node keeps no
+        reference into ``buf``."""
+        tag = buf[offset]
         if tag == _TAG_NONLEAF:
-            return self._deserialize_nonleaf(raw)
+            return self._deserialize_nonleaf(buf, offset)
         if tag == _TAG_LEAF:
-            return self._deserialize_leaf(raw)
+            return self._deserialize_leaf(buf, offset)
         if tag == _TAG_EXTENSION:
-            return self._deserialize_extension(raw)
+            return self._deserialize_extension(buf, offset)
         raise ValueError(f"unknown node tag {tag}")
 
     def _serialize_nonleaf(self, node: NonLeafNode) -> bytes:
@@ -260,8 +271,8 @@ class NodeCodec:
             *node.v_corner, *node.p_corner,
             *node.children, bytes(mask))
 
-    def _deserialize_nonleaf(self, raw: bytes) -> NonLeafNode:
-        parts = self._nonleaf.unpack_from(raw)
+    def _deserialize_nonleaf(self, buf, offset: int) -> NonLeafNode:
+        parts = self._nonleaf.unpack_from(buf, offset)
         d = self.d
         end = 3 + 2 * d
         child_is_leaf = list(chain.from_iterable(
@@ -362,19 +373,26 @@ class NodeCodec:
             _TAG_LEAF, node.level, len(node.rows) // self._entry.size,
             node.overflow, *node.v_corner, *node.p_corner) + node.rows
 
-    def _deserialize_leaf(self, raw: bytes) -> LeafNode:
+    def _rows_at(self, buf, offset: int, count: int) -> bytes:
+        """The ``count`` packed rows at ``offset`` of ``buf``, copied once
+        into ``bytes`` of their own: ``buf`` may be a frame that later
+        writes, or the next page the frame holds, overwrite in place."""
+        st = self._rows_batch.get(count)
+        if st is None:
+            st = struct.Struct(f"{count * self._entry.size}s")
+            self._rows_batch[count] = st
+        return st.unpack_from(buf, offset)[0]
+
+    def _deserialize_leaf(self, buf, offset: int) -> LeafNode:
         header = self._leaf_header
-        parts = header.unpack_from(raw)
+        parts = header.unpack_from(buf, offset)
         d = self.d
         leaf = LeafNode.__new__(LeafNode)
         leaf.level = parts[1]
         leaf.overflow = parts[3]
         leaf.v_corner = parts[4: 4 + d]
         leaf.p_corner = parts[4 + d: 4 + 2 * d]
-        # Rows are bytes of their own: ``raw`` may be a view of a frame
-        # that later writes overwrite in place.
-        leaf.rows = bytes(
-            raw[header.size: header.size + parts[2] * self._entry.size])
+        leaf.rows = self._rows_at(buf, offset + header.size, parts[2])
         return leaf
 
     def _serialize_extension(self, node: LeafExtension) -> bytes:
@@ -382,11 +400,10 @@ class NodeCodec:
             _TAG_EXTENSION, len(node.rows) // self._entry.size,
             node.overflow) + node.rows
 
-    def _deserialize_extension(self, raw: bytes) -> LeafExtension:
+    def _deserialize_extension(self, buf, offset: int) -> LeafExtension:
         header = self._ext_header
-        _, count, overflow = header.unpack_from(raw)
+        _, count, overflow = header.unpack_from(buf, offset)
         ext = LeafExtension.__new__(LeafExtension)
         ext.overflow = overflow
-        ext.rows = bytes(
-            raw[header.size: header.size + count * self._entry.size])
+        ext.rows = self._rows_at(buf, offset + header.size, count)
         return ext

@@ -13,17 +13,26 @@ Index code interacts with the pool through short pin/unpin windows::
 
 A page enters the pool one way, :meth:`BufferPool._load`: it evicts the
 oldest unpinned frame when the pool is full (a dirty victim is written
-back, write guard first), reads the page and counts one logical and one
-physical read.  :meth:`BufferPool.fetch` is a resident hit or a load,
-then a pin; :meth:`NodeCache.get <repro.storage.node_store.NodeCache.get>`
-calls the load itself on a miss.  :meth:`BufferPool.new_page` evicts
-through the same routine.
+back, write guard first), reads the page into the victim's frame and
+counts one logical and one physical read.  :meth:`BufferPool.fetch` is a
+resident hit or a load, then a pin;
+:meth:`NodeCache.get <repro.storage.node_store.NodeCache.get>` calls the
+load itself on a miss.  :meth:`BufferPool.new_page` evicts through the
+same routine and zero-fills the victim's frame.
+
+A :class:`Page` is a frame, not a page: eviction hands the victim's
+``Page`` object and buffer to the next page that enters, renamed, so a
+miss allocates nothing once the pool is full.  A ``Page`` handle is
+therefore valid only while the caller holds a pin on it; after the unpin
+the same object may hold another page.  Keep the page id, not the
+handle.  Frames are created one at a time as the pool fills, never up
+front, so a pool larger than its index costs only the pages it holds.
 
 A frame is the only in-memory home of its page: the node cache keeps
-decoded records on the :class:`Page` itself (``Page.decoded``), so an
-evicted or freed page takes its decoded nodes with it and re-reading one
-is charged a physical read like any other non-resident access.  The pool
-needs no observer for that.
+decoded records on the :class:`Page` itself (``Page.decoded``), and an
+evicted frame's decoded records are dropped with its bytes, so
+re-reading the page is charged a physical read like any other
+non-resident access.  The pool needs no observer for that.
 
 :meth:`BufferPool.attach_metrics` exports every :class:`IOStats` counter
 (plus residency/hit-rate gauges) into a
@@ -79,6 +88,7 @@ class BufferPool:
         # crash-consistent (see repro.storage.journal).
         self._write_guard: Callable[[int], None] | None = None
         self._guard_suspended = 0
+        self._zero_page = bytes(pagefile.page_size)
 
     # ------------------------------------------------------------------ #
     # Frame management
@@ -169,14 +179,19 @@ class BufferPool:
         return page
 
     def new_page(self) -> Page:
-        """Allocate a fresh page in the file and return it pinned and dirty.
+        """Allocate a fresh page in the file and return it pinned, dirty
+        and zero-filled (a reused frame keeps no byte of its victim).
 
         No physical read is charged; the write happens at eviction or flush.
         """
-        self._make_room()
+        page = self._make_room()
         page_id = self.pagefile.allocate()
         self.stats.pages_allocated += 1
-        page = Page(page_id, None, self.pagefile.page_size)
+        if page is None:
+            page = Page(page_id, None, self.pagefile.page_size)
+        else:
+            page.page_id = page_id
+            page.data[:] = self._zero_page
         page.dirty = True
         page.pin()
         self._frames[page_id] = page
@@ -219,7 +234,7 @@ class BufferPool:
         either the guard or the page file fails."""
         if self._write_guard is not None and not self._guard_suspended:
             self._write_guard(page.page_id)
-        self.pagefile.write(page.page_id, bytes(page.data))
+        self.pagefile.write(page.page_id, page.data)  # the file copies
         self.stats.physical_writes += 1
 
     def flush_page(self, page_id: int) -> None:
@@ -261,21 +276,29 @@ class BufferPool:
         """Bring non-resident ``page_id`` into a frame, at the MRU end,
         and return it unpinned.
 
-        This is the one way a page is read into the pool: it counts one
-        logical and one physical read, after :meth:`_make_room` made a
-        frame free.  A failed read installs nothing and counts no read.
+        This is the one way a page is read into the pool: the page file
+        reads it straight into the frame :meth:`_make_room` freed (a new
+        one while the pool has room), then one logical and one physical
+        read are counted.  A failed read installs nothing and counts no
+        read; the victim was evicted all the same.
         """
-        self._make_room()
-        data = self.pagefile.read(page_id)
+        page = self._make_room()
+        if page is None:
+            page = Page(page_id, None, self.pagefile.page_size)
+        else:
+            page.page_id = page_id
+        self.pagefile.read(page_id, page.data)
         stats = self.stats
         stats.logical_reads += 1
         stats.physical_reads += 1
-        page = self._frames[page_id] = Page(page_id, data,
-                                            self.pagefile.page_size)
+        self._frames[page_id] = page
         return page
 
-    def _make_room(self) -> None:
-        """Evict the oldest unpinned frames until one is free.
+    def _make_room(self) -> Page | None:
+        """Evict the oldest unpinned frames until one is free, and return
+        the (last) victim's frame for reuse: unpinned, clean, with its
+        decoded records dropped, its buffer still holding the evicted
+        bytes.  ``None`` when the pool had room.
 
         A dirty victim is written back (guard first) *before* its frame
         is dropped: if the write or its guard raises -- a transient IO
@@ -283,6 +306,7 @@ class BufferPool:
         operation still sees it.
         """
         frames = self._frames
+        page = None
         while len(frames) >= self.capacity:
             for page in frames.values():  # oldest first
                 if not page.pin_count:
@@ -294,7 +318,9 @@ class BufferPool:
                 self._write_back(page)
                 page.dirty = False
             del frames[page.page_id]
+            page.decoded.clear()
             self.stats.evictions += 1
+        return page
 
     def __repr__(self) -> str:
         return (

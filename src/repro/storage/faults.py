@@ -253,7 +253,8 @@ class FaultyPageFile(PageFile):
     def free_page_ids(self):
         return self.inner.free_page_ids()
 
-    def read(self, page_id: int) -> bytearray:
+    def read(self, page_id: int, into: bytearray | None = None) -> bytearray:
+        # An armed fault raises before ``into`` is touched.
         self._check_alive()
         self.reads += 1
         n = self.reads
@@ -263,9 +264,11 @@ class FaultyPageFile(PageFile):
             del self._fail_reads[n]
             raise TransientIOError(
                 f"injected transient failure of read #{n} (page {page_id})")
-        return self.inner.read(page_id)
+        return self.inner.read(page_id, into)
 
     def write(self, page_id: int, data: bytes) -> None:
+        # Neither image keeps ``data``: the inner file copies what it
+        # writes, and a pre-image or torn page is bytes of its own.
         self._check_alive()
         if len(data) != self.page_size:
             raise ValueError(
@@ -310,7 +313,8 @@ class FaultyPageFile(PageFile):
     def _extend_to(self, num_pages: int) -> None:  # pragma: no cover
         raise AssertionError("FaultyPageFile delegates to inner")
 
-    def _read_page(self, page_id: int) -> bytearray:  # pragma: no cover
+    def _read_page(self, page_id: int,
+                   into: bytearray) -> None:  # pragma: no cover
         raise AssertionError("FaultyPageFile delegates to inner")
 
     def _write_page(self, page_id: int, data: bytes) -> None:  # pragma: no cover

@@ -27,10 +27,14 @@ objects.
 
 A :meth:`NodeCache.get` whose record is not decoded takes one short
 path: the size class comes from the store's space map, a non-resident
-page is loaded by the pool's one miss path (``BufferPool._load``), and
-the codec decodes one copy of the record's slot, sliced straight from
-the frame's buffer.  A leaf codec keeps its rows as ``bytes`` of their
-own, so they never alias a frame buffer that later writes overwrite.
+page is read into a reused frame by the pool's one miss path
+(``BufferPool._load``), and the codec decodes the record in place,
+``deserialize(frame buffer, record offset)``: nothing copies the slot.
+The decode contract: a codec reads its record at the offset (with
+``struct.unpack_from`` and the like) and returns an object that keeps no
+reference into the buffer -- a leaf codec copies its rows once, into
+``bytes`` of their own -- because the frame is overwritten in place by
+later writes and by the next page that reuses it.
 
 Concurrency invariant (single writer per shard)
 -----------------------------------------------
@@ -384,14 +388,15 @@ class RecordStore:
         if stack:
             return stack[-1]
         page = self.pool.new_page()
+        page_id = page.page_id
         try:
             page.write(0, _HEADER.pack(cls.record_size, cls.num_slots))
             page.write(cls.bitmap_offset, b"\x00" * cls.bitmap_len)
         finally:
             page.unpin()
-        self._page_meta[page.page_id] = (cls, 0)
-        self._add_space(cls.record_size, page.page_id)
-        return page.page_id
+        self._page_meta[page_id] = (cls, 0)
+        self._add_space(cls.record_size, page_id)
+        return page_id
 
     def _claim_free_slot(self, page: Page, cls: SizeClass) -> int:
         bitmap = page.read(cls.bitmap_offset, cls.bitmap_len)
@@ -429,8 +434,10 @@ class NodeCache(Generic[T]):
     persistence.
 
     ``serialize``/``deserialize`` convert between node objects and record
-    payload bytes; ``deserialize`` gets a ``bytearray`` copy of the
-    record's whole slot, which it may keep.  Every read is a page access
+    payload bytes.  ``deserialize(buf, offset)`` decodes the record that
+    starts at ``offset`` of ``buf`` -- the frame's own ``bytearray`` --
+    and must keep no reference into ``buf``, which the pool overwrites
+    in place (see the module docstring).  Every read is a page access
     through the buffer pool (so residency and IO counts behave exactly as
     if nodes were parsed from bytes each time); ``deserialize`` only runs
     again after the node's page was evicted or its record was rewritten.
@@ -454,7 +461,7 @@ class NodeCache(Generic[T]):
 
     def __init__(self, store: RecordStore,
                  serialize: Callable[[T], bytes],
-                 deserialize: Callable[[bytearray], T]):
+                 deserialize: Callable[[bytearray, int], T]):
         self.store = store
         self._serialize = serialize
         self._deserialize = deserialize
@@ -500,8 +507,7 @@ class NodeCache(Generic[T]):
             page = pool._load(page_id)
         page.pin_count += 1
         try:
-            obj = self._deserialize(
-                page.data[offset: offset + cls.record_size])
+            obj = self._deserialize(page.data, offset)
             page.decoded[rid] = obj
             self.misses += 1
             return obj

@@ -1,15 +1,19 @@
 """Fixed-size page abstraction.
 
 The paper compiles SHORE with a 4 KB page size (Section 5.1); ``PAGE_SIZE``
-matches that default.  A :class:`Page` is a page id plus a mutable byte
-buffer, a dirty flag, and a pin count.  Pages live inside frames of the
-buffer pool; index code never holds raw buffers across operations without
-pinning.
+matches that default.  A :class:`Page` is a buffer-pool *frame*: a mutable
+byte buffer, the id of the page it holds right now, a dirty flag, and a
+pin count.  The pool reuses a frame for the next page it brings in (the
+object and its buffer, renamed and refilled), so a ``Page`` handle is
+valid only while it is pinned: after the unpin it may hold another page.
+Index code keeps page ids across operations, never handles or raw
+buffers.
 
 A frame also carries the decoded form of the records on it
 (:attr:`Page.decoded`, filled by :class:`repro.storage.node_store.NodeCache`):
 the decoded nodes live exactly as long as the bytes they came from, so
-evicting or freeing the frame drops them with it.
+evicting or freeing the frame drops them with it.  A decoded node never
+refers into the frame's buffer.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ INVALID_PAGE_ID = -1
 
 
 class Page:
-    """One in-memory page: id, buffer, dirty flag, and pin count."""
+    """One buffer-pool frame: the held page's id, its buffer, a dirty
+    flag, and a pin count."""
 
     __slots__ = ("page_id", "data", "dirty", "pin_count", "decoded")
 

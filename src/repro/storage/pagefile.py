@@ -10,6 +10,12 @@ implementations share the :class:`PageFile` interface:
   buffer pool; only the actual device traffic is elided, which keeps unit
   tests hermetic and fast while preserving the paper's IO accounting.
 
+A read fills a buffer: a fresh one the caller owns, or -- on the buffer
+pool's miss path -- the frame the page goes into
+(``read(page_id, into=frame)``), so a miss allocates nothing.  A write
+copies what it keeps: the pool hands over its frame's own buffer, which
+the frame's next page overwrites in place.
+
 Freed pages go on a free list and are reused by subsequent allocations,
 mirroring how SHORE recycles slotted pages.
 """
@@ -83,14 +89,24 @@ class PageFile(abc.ABC):
         self._free_list.append(page_id)
         self._free_set.add(page_id)
 
-    def read(self, page_id: int) -> bytearray:
-        """Read a full page; returns a fresh buffer the caller owns."""
+    def read(self, page_id: int, into: bytearray | None = None) -> bytearray:
+        """Read a full page into ``into`` (a page-size ``bytearray``) and
+        return it; without ``into``, into a fresh buffer the caller owns.
+        A read that raises may have filled part of ``into``."""
         if not 0 <= page_id < self._num_pages:  # the check raises
             self._check_page_id(page_id)
-        return self._read_page(page_id)
+        if into is None:
+            into = bytearray(self.page_size)
+        elif len(into) != self.page_size:
+            raise ValueError(
+                f"page read needs a {self.page_size}-byte buffer, "
+                f"got {len(into)}")
+        self._read_page(page_id, into)
+        return into
 
     def write(self, page_id: int, data: bytes) -> None:
-        """Write a full page buffer."""
+        """Write a full page buffer.  The file keeps a copy: the caller
+        may overwrite ``data`` as soon as this returns."""
         self._check_page_id(page_id)
         if len(data) != self.page_size:
             raise ValueError(
@@ -129,12 +145,12 @@ class PageFile(abc.ABC):
         """Grow the underlying storage to hold ``num_pages`` pages."""
 
     @abc.abstractmethod
-    def _read_page(self, page_id: int) -> bytearray:
-        ...
+    def _read_page(self, page_id: int, into: bytearray) -> None:
+        """Fill the page-size buffer ``into`` with page ``page_id``."""
 
     @abc.abstractmethod
     def _write_page(self, page_id: int, data: bytes) -> None:
-        ...
+        """Store a copy of the page-size ``data`` as page ``page_id``."""
 
 
 class InMemoryPageFile(PageFile):
@@ -164,11 +180,11 @@ class InMemoryPageFile(PageFile):
         while len(self._pages) < num_pages:
             self._pages.append(bytearray(self.page_size))
 
-    def _read_page(self, page_id: int) -> bytearray:
-        return bytearray(self._pages[page_id])
+    def _read_page(self, page_id: int, into: bytearray) -> None:
+        into[:] = self._pages[page_id]
 
     def _write_page(self, page_id: int, data: bytes) -> None:
-        self._pages[page_id] = bytearray(data)
+        self._pages[page_id][:] = data  # a copy into the file's own page
 
     def iter_pages(self) -> Iterator[bytes]:
         """Yield raw page buffers (test helper)."""
@@ -205,12 +221,10 @@ class OnDiskPageFile(PageFile):
         if current < num_pages:
             self._fh.write(b"\x00" * (num_pages - current) * self.page_size)
 
-    def _read_page(self, page_id: int) -> bytearray:
+    def _read_page(self, page_id: int, into: bytearray) -> None:
         self._fh.seek(page_id * self.page_size)
-        data = self._fh.read(self.page_size)
-        if len(data) != self.page_size:
+        if self._fh.readinto(into) != self.page_size:
             raise IOError(f"short read of page {page_id} from {self.path}")
-        return bytearray(data)
 
     def _write_page(self, page_id: int, data: bytes) -> None:
         self._fh.seek(page_id * self.page_size)

@@ -83,21 +83,24 @@ class TPRNodeCodec:
                     *box.vlower, *box.vupper))
         return b"".join(parts)
 
-    def deserialize(self, raw: bytes) -> TPRNode:
-        level, count = self._header.unpack(raw[: self._header.size])
-        offset = self._header.size
+    def deserialize(self, buf, offset: int = 0) -> TPRNode:
+        """Decode the node at ``offset`` of ``buf`` (any bytes-like
+        object, such as a buffer-pool frame); the node keeps no
+        reference into ``buf``."""
+        level, count = self._header.unpack_from(buf, offset)
+        offset += self._header.size
         entries: List[Entry] = []
         d = self.d
         if level == 0:
             for _ in range(count):
-                parts = self._leaf_entry.unpack_from(raw, offset)
+                parts = self._leaf_entry.unpack_from(buf, offset)
                 offset += self._leaf_entry.size
                 entries.append(LeafEntry(parts[0],
                                          tuple(parts[1: 1 + d]),
                                          tuple(parts[1 + d: 1 + 2 * d])))
         else:
             for _ in range(count):
-                parts = self._child_entry.unpack_from(raw, offset)
+                parts = self._child_entry.unpack_from(buf, offset)
                 offset += self._child_entry.size
                 rid, t0 = parts[0], parts[1]
                 coords = parts[2:]

@@ -21,6 +21,7 @@ from repro.core.query_region import build_query_regions
 from repro.query.types import MovingQuery, TimeSliceQuery, WindowQuery
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.node_store import MAX_SLOTS_PER_PAGE, RecordStore
+from repro.storage.page import PAGE_SIZE
 from repro.storage.pagefile import InMemoryPageFile
 
 
@@ -141,9 +142,10 @@ class TestDecodeAnyBuffer:
     """``deserialize(serialize(n)) == n`` for every record kind, for
     d = 1, 2, 3 (is-leaf masks of 1, 2 and 8 bytes) in both float
     widths, whatever bytes-like object holds the record: ``bytes``, a
-    ``bytearray`` (the node cache's copy out of a frame) or a
-    ``memoryview`` slice of a larger buffer, each followed by the
-    undefined tail a record slot leaves after its payload."""
+    ``bytearray`` or a ``memoryview`` slice of a larger buffer, each
+    followed by the undefined tail a record slot leaves after its
+    payload -- and decoded in place, at the record's offset in a
+    page-size frame, as the node cache decodes it."""
 
     @staticmethod
     def node(data, kind, d, float32):
@@ -198,6 +200,39 @@ class TestDecodeAnyBuffer:
         assert decoded[0] == decoded[1] == decoded[2]
         framed[:] = b"\x00" * len(framed)  # a decode keeps no view
         assert decoded[2] == node
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["nonleaf", "leaf", "extension"]),
+           d=st.integers(min_value=1, max_value=3), float32=st.booleans(),
+           data=st.data())
+    def test_in_place_decode_equals_copied_slot(self, kind, d, float32,
+                                               data):
+        """A record decoded where it sits in a frame -- a non-zero
+        offset, other bytes before it and after it -- equals the record
+        decoded from a copy of its slot, and stays equal after the
+        frame is overwritten in place (its rows are ``bytes`` of their
+        own)."""
+        codec = NodeCodec(d, float32=float32)
+        node = self.node(data, kind, d, float32)
+        raw = codec.serialize(node)
+        offset = data.draw(st.integers(1, PAGE_SIZE - len(raw) - 1),
+                           label="offset")
+        frame = bytearray(random.Random(data.draw(
+            st.integers(0, 2**32), label="fill")).randbytes(PAGE_SIZE))
+        frame[offset: offset + len(raw)] = raw
+        slot = bytes(frame[offset:])  # the record and the frame's tail
+        in_place = codec.deserialize(frame, offset)
+        from_view = codec.deserialize(memoryview(frame), offset)
+        copied = codec.deserialize(slot)
+        assert in_place == from_view == copied == node
+        if kind != "nonleaf":
+            assert type(in_place.rows) is bytes
+            assert type(from_view.rows) is bytes
+            rows = node.rows
+        frame[:] = b"\xff" * PAGE_SIZE
+        assert in_place == from_view == node
+        if kind != "nonleaf":
+            assert in_place.rows == from_view.rows == rows
 
 
 def layout_points(d, float32, min_size=0, max_size=40):

@@ -162,16 +162,19 @@ class TestDirtyPageImages:
 
     def test_reports_exactly_the_dirty_set(self):
         pool = BufferPool(InMemoryPageFile(), capacity=8)
-        dirty = pool.new_page()
-        dirty.write(0, b"dirty")
-        pool.unpin(dirty)
-        clean = pool.new_page()
-        pool.unpin(clean)
-        pool.flush_page(clean.page_id)
+        # Page ids, not handles: an unpinned frame may hold another page.
+        page = pool.new_page()
+        page.write(0, b"dirty")
+        dirty = page.page_id
+        pool.unpin(page)
+        page = pool.new_page()
+        clean = page.page_id
+        pool.unpin(page)
+        pool.flush_page(clean)
         images = pool.dirty_page_images()
-        assert set(images) == {dirty.page_id}
-        assert images[dirty.page_id][:5] == b"dirty"
-        assert isinstance(images[dirty.page_id], bytes)
+        assert set(images) == {dirty}
+        assert images[dirty][:5] == b"dirty"
+        assert isinstance(images[dirty], bytes)
 
     def test_empty_after_flush_all(self):
         pool = BufferPool(InMemoryPageFile(), capacity=8)

@@ -14,6 +14,16 @@ def make_pool(capacity=4):
     return BufferPool(InMemoryPageFile(), capacity=capacity)
 
 
+def new_pages(pool, n):
+    """Ids of ``n`` new pages, each unpinned again."""
+    pids = []
+    for _ in range(n):
+        page = pool.new_page()
+        pids.append(page.page_id)
+        pool.unpin(page)
+    return pids
+
+
 class TestBasics:
     def test_new_page_is_pinned_and_dirty(self):
         pool = make_pool()
@@ -53,18 +63,16 @@ class TestBasics:
 
 class TestEviction:
     def test_lru_victim_is_oldest_unpinned(self):
+        # Page ids, not handles: an unpinned frame may hold another page.
         pool = make_pool(capacity=2)
-        a = pool.new_page()
-        pool.unpin(a)
-        b = pool.new_page()
-        pool.unpin(b)
+        a, b = new_pages(pool, 2)
         # Touch a so b becomes LRU.
-        with pool.pinned(a.page_id):
+        with pool.pinned(a):
             pass
         c = pool.new_page()
         pool.unpin(c)
-        assert pool.is_resident(a.page_id)
-        assert not pool.is_resident(b.page_id)
+        assert pool.is_resident(a)
+        assert not pool.is_resident(b)
 
     def test_dirty_page_written_back_on_eviction(self):
         pool = make_pool(capacity=1)
@@ -86,16 +94,18 @@ class TestEviction:
 
     def test_eviction_drops_decoded_records(self):
         """Decoded records live on the frame: an evicted page comes back
-        as a fresh frame holding only its bytes."""
+        holding only its bytes, whichever frame it lands in."""
         pool = make_pool(capacity=1)
         a = pool.new_page()
         a.decoded[7] = (1, "node")
+        pid = a.page_id
         pool.unpin(a)
         b = pool.new_page()
+        b.decoded[8] = (2, "node")
         pool.unpin(b)
-        assert not pool.is_resident(a.page_id)
-        with pool.pinned(a.page_id) as again:
-            assert again is not a
+        assert not pool.is_resident(pid)
+        with pool.pinned(pid) as again:
+            assert again.page_id == pid
             assert again.decoded == {}
 
     def test_pinned_page_survives_pressure(self):
@@ -106,6 +116,66 @@ class TestEviction:
             pool.unpin(extra)
         assert pool.is_resident(pinned.page_id)
         pool.unpin(pinned)
+
+
+class TestFrameReuse:
+    """A frame is reused: once the pool is full, the page that enters
+    takes the victim's ``Page`` object and buffer, refilled."""
+
+    def test_reused_frame_holds_only_the_new_page(self):
+        pool = make_pool(capacity=1)
+        a = pool.new_page()
+        a.write(0, b"\xaa" * PAGE_SIZE)
+        a_id = a.page_id
+        pool.unpin(a)
+        b = pool.new_page()
+        b.write(0, b"\xbb" * 100)
+        b.decoded[5] = "b's record"
+        pool.unpin(b)
+        with pool.pinned(a_id) as again:
+            assert again is b  # the evicted page's frame, reused
+            assert again.page_id == a_id
+            assert bytes(again.data) == b"\xaa" * PAGE_SIZE
+            assert again.decoded == {}
+            assert not again.dirty
+
+    def test_new_page_on_reused_frame_is_all_zeros(self):
+        pool = make_pool(capacity=1)
+        a = pool.new_page()
+        a.write(0, b"\xff" * PAGE_SIZE)
+        a.decoded[1] = "a's record"
+        a_id = a.page_id
+        pool.unpin(a)
+        b = pool.new_page()
+        assert b is a
+        assert b.page_id != a_id
+        assert bytes(b.data) == bytes(PAGE_SIZE)
+        assert b.decoded == {}
+        assert b.dirty and b.pin_count == 1
+        pool.unpin(b)
+        # The evicted page kept its bytes in the file.
+        assert bytes(pool.pagefile.read(a_id)) == b"\xff" * PAGE_SIZE
+
+    @settings(max_examples=30, deadline=None)
+    @given(seq=st.lists(st.integers(min_value=0, max_value=9),
+                        min_size=1, max_size=60))
+    def test_misses_allocate_no_frame_once_full(self, seq):
+        """However the pages are touched, the pool creates at most
+        ``capacity`` frames, one per page it holds, and each load
+        refills a frame with exactly its page's bytes."""
+        pool = make_pool(capacity=3)
+        pids = new_pages(pool, 10)
+        for pid in pids:
+            with pool.pinned(pid) as page:
+                page.write(0, bytes([pid + 1]) * PAGE_SIZE)
+        # Keyed by id, holding each object so no id is recycled.
+        frames = {id(page): page for page in pool._frames.values()}
+        for idx in seq:
+            with pool.pinned(pids[idx]) as page:
+                frames[id(page)] = page
+                assert bytes(page.data) == bytes([pids[idx] + 1]) * PAGE_SIZE
+        assert len(frames) == 3
+        assert pool.num_frames == 3
 
 
 class TestFlush:
@@ -173,14 +243,10 @@ class TestPropertyBased:
         """Whatever the access pattern, the last value written to each page
         is observable afterwards, and frame count never exceeds capacity."""
         pool = make_pool(capacity=3)
-        pids = []
-        for _ in range(10):
-            page = pool.new_page()
-            pool.unpin(page)
-            pids.append(page)
-        expected = {page.page_id: 0 for page in pids}
+        pids = new_pages(pool, 10)
+        expected = {pid: 0 for pid in pids}
         for op, idx in ops:
-            pid = pids[idx].page_id
+            pid = pids[idx]
             with pool.pinned(pid) as page:
                 if op == "write":
                     value = (expected[pid] + 1) % 250
@@ -198,14 +264,10 @@ class TestPropertyBased:
                         min_size=1, max_size=40))
     def test_hit_rate_bounds(self, seq):
         pool = make_pool(capacity=4)
-        pages = []
-        for _ in range(8):
-            page = pool.new_page()
-            pool.unpin(page)
-            pages.append(page)
+        pids = new_pages(pool, 8)
         pool.stats.reset()
         for idx in seq:
-            with pool.pinned(pages[idx].page_id):
+            with pool.pinned(pids[idx]):
                 pass
         stats = pool.stats
         assert 0.0 <= stats.hit_rate <= 1.0

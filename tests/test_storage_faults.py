@@ -6,9 +6,13 @@ import random
 
 import pytest
 
+from repro.core.dual import DualPoint
+from repro.core.nodes import LeafNode, NodeCodec
+from repro.storage.buffer_pool import BufferPool
 from repro.storage.faults import (FAILPOINTS, FailpointRegistry,
                                   FaultyPageFile, InjectedCrash,
                                   TransientIOError)
+from repro.storage.node_store import NodeCache, RecordStore, rid_page
 from repro.storage.page import PAGE_SIZE
 from repro.storage.pagefile import InMemoryPageFile
 
@@ -180,6 +184,129 @@ class TestDurableImage:
         faulty.clear_faults()
         faulty.write(pid, image(1))  # nothing fires
         assert not faulty.crashed
+
+
+class TestReadIntoFrame:
+    """``read(page_id, into=frame)`` -- the buffer pool's miss path --
+    keeps the failure semantics of a plain read: a fault raises before
+    the frame is touched."""
+
+    def test_transient_read_leaves_buffer_untouched(self, faulty):
+        pid = faulty.allocate()
+        faulty.write(pid, image(4))
+        frame = bytearray(image(0xEE))
+        faulty.fail_next_reads(1)
+        with pytest.raises(TransientIOError):
+            faulty.read(pid, into=frame)
+        assert bytes(frame) == image(0xEE)
+        assert faulty.read(pid, into=frame) is frame
+        assert bytes(frame) == image(4)
+        assert faulty.reads == 2
+
+    def test_crash_at_read_into_freezes_file(self, faulty):
+        pid = faulty.allocate()
+        faulty.write(pid, image(4))
+        frame = bytearray(image(0xEE))
+        faulty.crash_at_read(1)
+        with pytest.raises(InjectedCrash):
+            faulty.read(pid, into=frame)
+        assert faulty.crashed
+        assert bytes(frame) == image(0xEE)
+        with pytest.raises(InjectedCrash):
+            faulty.read(pid, into=frame)
+        assert bytes(frame) == image(0xEE)
+
+    def test_pool_over_crashed_file_installs_nothing(self, faulty):
+        pool = BufferPool(faulty, capacity=1)
+        pids = []
+        for fill in (1, 2):
+            page = pool.new_page()
+            page.write(0, image(fill))
+            pids.append(page.page_id)
+            pool.unpin(page)
+        pool.flush_all()
+        before = pool.stats.snapshot()
+        faulty.crash_at_read(faulty.reads + 1)
+        with pytest.raises(InjectedCrash):
+            pool.fetch(pids[0])
+        assert pool.num_frames == 0  # the victim left; nothing came in
+        assert pool.stats.physical_reads == before.physical_reads
+        assert pool.stats.logical_reads == before.logical_reads
+        with pytest.raises(InjectedCrash):  # frozen: no retry succeeds
+            pool.fetch(pids[0])
+        assert pool.num_frames == 0
+
+    def test_writes_keep_no_alias_of_the_frame(self, faulty):
+        """Volatile and durable images are copies: a frame buffer
+        overwritten after its write-back changes neither."""
+        pid = faulty.allocate()
+        faulty.write(pid, image(1))
+        faulty.sync()
+        frame = bytearray(image(2))
+        faulty.write(pid, frame)  # first write since the sync: pre-image
+        frame[:] = image(3)
+        faulty.write(pid, frame)
+        frame[:] = image(0xEE)
+        assert bytes(faulty.read(pid)) == image(3)
+        assert faulty.durable_image("all")[pid] == image(3)
+        assert faulty.durable_image("none")[pid] == image(1)
+
+    def test_torn_write_keeps_no_alias_of_the_frame(self, faulty):
+        pid = faulty.allocate()
+        faulty.write(pid, image(0xAA))
+        faulty.sync()
+        frame = bytearray(image(0xBB))
+        faulty.tear_at_write(2, 100)
+        with pytest.raises(InjectedCrash):
+            faulty.write(pid, frame)
+        frame[:] = image(0xCC)
+        durable = faulty.durable_image("none")[pid]
+        assert durable == image(0xBB)[:100] + image(0xAA)[100:]
+
+
+class TestTransientMissThroughNodeCache:
+    def test_failed_read_installs_nothing_and_retry_decodes(self):
+        """A transient fault on a miss's read: the dirty victim was
+        written back, guard first, before the read; no frame is
+        installed and no read counted; the retry reads the page into a
+        frame and decodes the record."""
+        faulty = FaultyPageFile(InMemoryPageFile())
+        pool = BufferPool(faulty, capacity=1)
+        store = RecordStore(pool)
+        codec = NodeCodec(2)
+        cache = NodeCache(store, codec.serialize, codec.deserialize)
+        leaf = LeafNode(2, (0.0, 1.0), (2.0, 3.0), codec.pack(
+            [DualPoint(oid, (oid * 0.5, 1.0), (2.0, -oid * 1.0))
+             for oid in range(9)]))
+        rid = cache.insert(2000, leaf)
+        other = store.allocate(352, b"dirty victim")  # evicts rid's page
+        victim = rid_page(other)
+        log = []
+        pool.set_write_guard(lambda page_id: log.append(("guard", page_id)))
+        real_write = faulty.write
+
+        def logged_write(page_id, data):
+            log.append(("write", page_id))
+            real_write(page_id, data)
+
+        faulty.write = logged_write
+        before = pool.stats.snapshot()
+        faulty.fail_next_reads(1)
+        with pytest.raises(TransientIOError):
+            cache.get(rid)
+        assert log == [("guard", victim), ("write", victim)]
+        assert pool.num_frames == 0
+        assert not pool.is_resident(rid_page(rid))
+        assert pool.stats.physical_reads == before.physical_reads
+        assert pool.stats.logical_reads == before.logical_reads
+        assert pool.stats.evictions == before.evictions + 1
+        assert cache.misses == 0
+        got = cache.get(rid)
+        assert got == leaf
+        assert type(got.rows) is bytes
+        assert pool.stats.physical_reads == before.physical_reads + 1
+        assert log == [("guard", victim), ("write", victim)]
+        assert cache.misses == 1
 
 
 class TestFailpointRegistry:

@@ -46,9 +46,9 @@ class TracingPageFile(InMemoryPageFile):
         super().__init__()
         self.trace: list = []
 
-    def read(self, page_id):
+    def read(self, page_id, into=None):
         self.trace.append(("r", page_id))
-        return super().read(page_id)
+        return super().read(page_id, into)
 
     def write(self, page_id, data):
         self.trace.append(("w", page_id))

@@ -25,6 +25,12 @@ def make_store(capacity=64):
     return RecordStore(BufferPool(InMemoryPageFile(), capacity=capacity))
 
 
+def decode_cstr(buf, offset):
+    """Test codec: the NUL-terminated string at ``offset``, decoded in
+    place from the frame."""
+    return bytes(buf[offset: buf.index(0, offset)]).decode()
+
+
 class TestSizeClass:
     def test_small_records_pack_many_per_page(self):
         cls = SizeClass(352, PAGE_SIZE)
@@ -179,7 +185,7 @@ class TestNodeCache:
     def make_cache(store):
         return NodeCache(store,
                          serialize=lambda s: s.encode(),
-                         deserialize=lambda b: b.rstrip(b"\x00").decode())
+                         deserialize=decode_cstr)
 
     def test_insert_get_update(self, store):
         cache = self.make_cache(store)
@@ -281,9 +287,9 @@ class TestNodeCacheMiss:
         log = []
 
         class LoggingPageFile(InMemoryPageFile):
-            def read(self, page_id):
+            def read(self, page_id, into=None):
                 log.append(("read", page_id))
-                return super().read(page_id)
+                return super().read(page_id, into)
 
             def write(self, page_id, data):
                 log.append(("write", page_id))
@@ -343,8 +349,8 @@ def _pad(value: str) -> bytes:
     return value.encode().ljust(16, b"\x00")
 
 
-def _unpad(raw: bytes) -> str:
-    return raw[:16].rstrip(b"\x00").decode()
+def _unpad(buf, offset: int) -> str:
+    return bytes(buf[offset: offset + 16]).rstrip(b"\x00").decode()
 
 
 class DecodeEveryGet(NodeCache):
@@ -353,7 +359,7 @@ class DecodeEveryGet(NodeCache):
 
     def get(self, rid):
         self.misses += 1
-        return self._deserialize(self.store.read(rid))
+        return self._deserialize(self.store.read(rid), 0)
 
 
 class TestFrameHeldCacheDifferential:
@@ -393,7 +399,7 @@ class TestFrameHeldCacheDifferential:
             if op == "get":
                 for s, c in systems:
                     got = c.get(rid)
-                    assert got == _unpad(s.read(rid)) == live[rid]
+                    assert got == _unpad(s.read(rid), 0) == live[rid]
             elif op == "update":
                 live[rid] = data.draw(self.VALUES, label="value")
                 for _, c in systems:

@@ -83,6 +83,31 @@ class TestReadWrite:
         with pytest.raises(ValueError, match="exactly"):
             anyfile.write(page, b"short")
 
+    def test_read_into_round_trip(self, anyfile):
+        """``read(page_id, into=buf)`` fills the caller's buffer -- the
+        buffer pool's miss path reads into a reused frame."""
+        pages = [anyfile.allocate() for _ in range(3)]
+        for page in pages:
+            anyfile.write(page, bytes([page + 1]) * PAGE_SIZE)
+        buf = bytearray(b"\xee" * PAGE_SIZE)
+        for page in reversed(pages):
+            assert anyfile.read(page, into=buf) is buf
+            assert bytes(buf) == bytes([page + 1]) * PAGE_SIZE
+
+    def test_read_into_wrong_size_rejected(self, anyfile):
+        page = anyfile.allocate()
+        with pytest.raises(ValueError, match="4096-byte buffer"):
+            anyfile.read(page, into=bytearray(10))
+
+    def test_write_keeps_a_copy(self, anyfile):
+        """A write copies what it keeps: the pool writes a frame's own
+        buffer back, then reuses the buffer for another page."""
+        page = anyfile.allocate()
+        frame = bytearray(b"\x01" * PAGE_SIZE)
+        anyfile.write(page, frame)
+        frame[:] = b"\x02" * PAGE_SIZE
+        assert bytes(anyfile.read(page)) == b"\x01" * PAGE_SIZE
+
     def test_read_returns_private_copy(self, anyfile):
         page = anyfile.allocate()
         anyfile.write(page, b"\x01" * PAGE_SIZE)

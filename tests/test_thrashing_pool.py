@@ -185,8 +185,8 @@ def decoded_leaves(monkeypatch):
     for name in ("_deserialize_leaf", "_deserialize_extension"):
         real = getattr(NodeCodec, name)
 
-        def recording(self, raw, _real=real):
-            rec = _real(self, raw)
+        def recording(self, buf, offset, _real=real):
+            rec = _real(self, buf, offset)
             seen.append(rec)
             return rec
 

@@ -1,10 +1,13 @@
 """Serialization round-trip tests for TPR-tree nodes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tpr.node import ChildEntry, LeafEntry, TPRNode, TPRNodeCodec
+from repro.storage.page import PAGE_SIZE
 from repro.tpr.tpbr import TPBR
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -77,6 +80,42 @@ class TestRoundTrips:
         back = codec.deserialize(codec.serialize(TPRNode(0, [])))
         assert back.level == 0
         assert back.entries == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=3), float32=st.booleans(),
+           leaf=st.booleans(), data=st.data())
+    def test_in_place_decode_equals_copied_slot(self, d, float32, leaf,
+                                               data):
+        """A node decoded where it sits in a page-size frame (non-zero
+        offset, other bytes around it) equals the node decoded from a
+        copy of its slot, and does not change when the frame is
+        overwritten in place."""
+        codec = TPRNodeCodec(d, float32=float32)
+        coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                          width=32 if float32 else 64)
+        box = st.tuples(*[coord] * d)
+        if leaf:
+            entries = data.draw(st.lists(st.builds(
+                LeafEntry, oid=st.integers(0, 2**60), p0=box, vel=box),
+                max_size=10), label="entries")
+            node = TPRNode(0, entries)
+        else:
+            entries = data.draw(st.lists(st.builds(
+                ChildEntry, rid=st.integers(0, 2**40),
+                tpbr=st.builds(TPBR, st.floats(0, 100), box, box, box,
+                               box)), max_size=8), label="entries")
+            node = TPRNode(data.draw(st.integers(1, 9)), entries)
+        raw = codec.serialize(node)
+        offset = data.draw(st.integers(1, PAGE_SIZE - len(raw) - 1),
+                           label="offset")
+        frame = bytearray(random.Random(data.draw(
+            st.integers(0, 2**32), label="fill")).randbytes(PAGE_SIZE))
+        frame[offset: offset + len(raw)] = raw
+        copied = codec.deserialize(bytes(frame[offset:]))
+        in_place = codec.deserialize(frame, offset)
+        assert in_place == copied == node
+        frame[:] = b"\xff" * PAGE_SIZE
+        assert in_place == node
 
     def test_is_leaf_flag(self):
         assert TPRNode(0, []).is_leaf

@@ -491,7 +491,9 @@ class TestDecodedNodeCacheGenerations:
         # the full record size.
         cache = NodeCache(store,
                           serialize=lambda s: s.encode().ljust(16, b"\x00"),
-                          deserialize=lambda b: b.rstrip(b"\x00").decode())
+                          deserialize=lambda buf, offset: bytes(
+                              buf[offset: offset + 16]).rstrip(
+                                  b"\x00").decode())
         rid = cache.insert(16, "alpha")
         assert cache.get(rid) == "alpha"
         hits_before = cache.hits
@@ -511,7 +513,9 @@ class TestDecodedNodeCacheGenerations:
         store = RecordStore(BufferPool(InMemoryPageFile()))
         cache = NodeCache(store,
                           serialize=lambda s: s.encode().ljust(16, b"\x00"),
-                          deserialize=lambda b: b.rstrip(b"\x00").decode())
+                          deserialize=lambda buf, offset: bytes(
+                              buf[offset: offset + 16]).rstrip(
+                                  b"\x00").decode())
         rid = cache.insert(16, "old")
         store.free(rid)
         rid2 = store.allocate(16, b"new".ljust(16, b"\x00"))

@@ -196,7 +196,9 @@ class TestWriteMany:
         payloads = [bytes([(i * 7) % 251]) * 64 for i in range(40)]
         # Decode every record onto its frame first: like write, write_many
         # must drop each rewritten record's decoded form.
-        cache = NodeCache(store, serialize=bytes, deserialize=bytes)
+        cache = NodeCache(store, serialize=bytes,
+                          deserialize=lambda buf, offset: bytes(
+                              buf[offset: offset + 64]))
         for rid in rids:
             cache.get(rid)
         store.write_many(zip(rids, payloads))
@@ -237,8 +239,8 @@ class TestOrderedFlush:
         for i in range(8):
             page = pool.new_page()
             page.write(0, bytes([i]) * 4)
-            pool.unpin(page, dirty=True)
             page_ids.append(page.page_id)
+            pool.unpin(page, dirty=True)
         order = []
         original = pagefile.write
 
