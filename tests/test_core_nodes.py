@@ -564,3 +564,50 @@ class TestCheckGuardsPackedRows:
             rec.rows += tree.codec.pack([first._replace(oid=-1)])
         assert (f"record {rid} keeps packed rows that differ from its page"
                 in tree.check())
+
+
+class TestCheckGuardsNonLeaves:
+    """``check()`` compares every decoded non-leaf with its page -- its
+    ``size``, child slots and is-leaf mask -- as it compares leaf rows:
+    a write descent edits the decoded node and then writes the whole
+    record or the ``size`` field alone, so an edit never written fails
+    the checker."""
+
+    @staticmethod
+    def _nonleaf(tree):
+        rid = tree._root_rid
+        assert not tree._root_is_leaf
+        return rid, tree.cache.get(rid)
+
+    def test_unwritten_size_edit_fails_check(self):
+        tree = TestCheckGuardsPackedRows._tree()
+        rid, node = self._nonleaf(tree)
+        node.size += 1
+        assert (f"non-leaf {rid} keeps a size or child slots that differ "
+                f"from its page" in tree.check())
+
+    @pytest.mark.parametrize("edit", ["child", "mask"])
+    def test_unwritten_link_edit_fails_check(self, edit):
+        tree = TestCheckGuardsPackedRows._tree()
+        rid, node = self._nonleaf(tree)
+        idx = node.present_children()[0]
+        if edit == "child":
+            node.children[idx] = INVALID_RID
+        else:
+            node.child_is_leaf[idx] = not node.child_is_leaf[idx]
+        assert (f"non-leaf {rid} keeps a size or child slots that differ "
+                f"from its page" in tree.check())
+
+    def test_written_size_field_passes_check(self):
+        """The field write makes the page agree again."""
+        tree = TestCheckGuardsPackedRows._tree()
+        rid, node = self._nonleaf(tree)
+        before = tree.check()
+        node.size += 1
+        tree.cache.write_field(rid, node, tree.codec.size_field)
+        # Only the subtree count disagrees now, not the page.
+        problems = tree.check()
+        assert not any("differ from its page" in p for p in problems)
+        node.size -= 1
+        tree.cache.write_field(rid, node, tree.codec.size_field)
+        assert tree.check() == before == []

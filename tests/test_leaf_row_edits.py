@@ -16,7 +16,9 @@ decodes a list nor packs more than the new rows.
 
 from __future__ import annotations
 
+import math
 import random
+import struct
 
 import numpy as np
 from hypothesis import given, settings
@@ -114,6 +116,108 @@ def test_row_edits_match_list_reference(d, float32, start, data):
         assert codec.points(record.rows) == reference
         back = codec.deserialize(codec.serialize(record))
         assert back.rows == codec.pack(reference)
+
+
+# --------------------------------------------------------------------- #
+# remove_rows: the bytes scan against a list reference
+# --------------------------------------------------------------------- #
+
+#: Oids of the remove_rows test: small ones, and one whose packed bytes
+#: fill every byte of a float64 (none of them is a NaN bit pattern).
+SCAN_OIDS = [0, 1, 2, 5, 0x3FF0_0000_0000_0001]
+
+
+def oid_coordinates(oid, float32):
+    """Coordinates whose packed bytes hold ``oid``'s packed bytes: a
+    float64 with the oid's bit pattern, or the two float32 halves."""
+    key = struct.pack("<q", oid)
+    if float32:
+        return list(struct.unpack("<2f", key))
+    return [struct.unpack("<d", key)[0]]
+
+
+def scan_entry(d, float32):
+    """An entry whose coordinates often embed a packed oid (so the oid's
+    bytes occur inside rows, off the row grid), recur, or are signed
+    zeros."""
+    def build(oid, parts):
+        coords = [x for part in parts for x in part][: 2 * d]
+        coords += [0.0] * (2 * d - len(coords))
+        return DualPoint(oid, tuple(coords[:d]), tuple(coords[d:]))
+
+    scalar = st.sampled_from([0.0, -0.0, 1.5, -3.0]) | st.floats(
+        min_value=-1e6, max_value=1e6, allow_nan=False,
+        width=32 if float32 else 64)
+    part = (st.sampled_from(SCAN_OIDS).map(
+        lambda oid: oid_coordinates(oid, float32))
+        | scalar.map(lambda x: [x]))
+    return st.builds(build, st.sampled_from(SCAN_OIDS),
+                     st.lists(part, min_size=2 * d, max_size=2 * d))
+
+
+def drifted(target, how):
+    """``target`` as stale caller state sees it: exact, one coordinate
+    nudged by a rounding step, or its zeros flipped in sign."""
+    if how == "exact":
+        return target
+    coords = list(target.v + target.p)
+    if how == "drift":
+        coords[0] = math.nextafter(coords[0], math.inf)
+    else:
+        coords = [-x if x == 0.0 else x for x in coords]
+    d = len(target.v)
+    return DualPoint(target.oid, tuple(coords[:d]), tuple(coords[d:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(min_value=1, max_value=3), float32=st.booleans(),
+       data=st.data())
+def test_remove_rows_matches_list_reference(d, float32, data):
+    """The bytes scan removes, for each point in turn, the first present
+    row equal in ``(oid, v, p)``, else the first row of its oid, else
+    nothing -- also when an oid's bytes occur inside another row's
+    coordinates, when oids repeat, when coordinates drifted by rounding
+    or differ only in the sign of a zero."""
+    codec = NodeCodec(d, float32)
+    entries = data.draw(st.lists(scan_entry(d, float32), max_size=14))
+    rows = codec.pack(entries)
+    reference = codec.points(rows)
+    targets = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+        if reference and data.draw(st.booleans()):
+            target = drifted(data.draw(st.sampled_from(reference)),
+                             data.draw(st.sampled_from(
+                                 ["exact", "drift", "zeros"])))
+        else:
+            target = data.draw(scan_entry(d, float32))
+        targets.append(target)
+    left, flags = codec.remove_rows(rows, targets)
+    want = []
+    for target in targets:
+        pos = find_entry(reference, target)
+        if pos is not None:
+            reference.pop(pos)
+        want.append(pos is not None)
+    assert flags == want
+    assert left == codec.pack(reference)
+    if not any(flags):
+        assert left is rows
+
+
+def test_remove_rows_skips_an_oid_inside_coordinates():
+    """An oid's packed bytes inside an earlier row's coordinates are not
+    a row: the delete takes the row that starts with them."""
+    for d, float32 in ((1, False), (2, True), (3, False)):
+        codec = NodeCodec(d, float32)
+        key = oid_coordinates(7, float32)
+        coords = (key + [2.0] * (2 * d))[: 2 * d]
+        decoy = DualPoint(1, tuple(coords[:d]), tuple(coords[d:]))
+        target = DualPoint(7, (0.5,) * d, (0.25,) * d)
+        rows = codec.pack([decoy, target])
+        assert rows.find(struct.pack("<q", 7)) < codec.entry_size
+        left, flags = codec.remove_rows(rows, [target._replace(v=(9.0,) * d)])
+        assert flags == [True]
+        assert left == codec.pack([decoy])
 
 
 # --------------------------------------------------------------------- #

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dual import DualPoint
-from repro.core.nodes import LeafExtension, LeafNode, NodeCodec
+from repro.core.nodes import (LeafExtension, LeafNode, NodeCodec,
+                              NonLeafNode)
 from repro.storage.buffer_pool import BufferPool, BufferPoolFullError
 from repro.storage.faults import FaultyPageFile, TransientIOError
 from repro.storage.node_store import (
@@ -341,6 +342,138 @@ class TestNodeCacheMiss:
         page.data[:] = b"\xff" * len(page.data)  # in place, same buffer
         assert got.rows == rows
         assert codec.points(got.rows) == points
+
+
+class TestFieldWrite:
+    """:meth:`NodeCache.write_field` writes one field of a record in
+    place -- a non-leaf's ``size`` -- under the same page fetch, pin,
+    dirty mark and unpin as a whole-record :meth:`NodeCache.update`: the
+    same IO counts, page bytes and decoded node, on a resident page and
+    on a missed one."""
+
+    @staticmethod
+    def system(pagefile=None, capacity=4):
+        store = RecordStore(BufferPool(
+            pagefile if pagefile is not None else InMemoryPageFile(),
+            capacity=capacity))
+        codec = NodeCodec(2)
+        cache = NodeCache(store, codec.serialize, codec.deserialize)
+        nodes = [NonLeafNode(2, (0.5 * k, 1.0), (2.0, 4.0 * k),
+                             [k * 3 + i if i % 3 else -1
+                              for i in range(codec.fanout)],
+                             [i % 2 == 0 for i in range(codec.fanout)],
+                             100 + k)
+                 for k in range(3)]
+        rids = [cache.insert(codec.nonleaf_record_size, node)
+                for node in nodes]
+        return store, codec, cache, rids
+
+    @staticmethod
+    def evict(store):
+        """Push every page holding a non-leaf out of the pool (dirty
+        ones are written back on the way)."""
+        for _ in range(store.pool.capacity):
+            store.allocate(4000, b"evictor")
+
+    @pytest.mark.parametrize("resident", [True, False])
+    def test_same_io_bytes_and_decode_as_a_whole_write(self, resident):
+        sides = []
+        for kind in ("update", "write_field"):
+            store, codec, cache, rids = self.system()
+            rid = rids[1]
+            node = cache.get(rid)
+            if not resident:
+                self.evict(store)
+                assert not store.pool.is_resident(rid_page(rid))
+            before = store.pool.stats.snapshot()
+            node.size += 7
+            if kind == "update":
+                cache.update(rid, node)
+            else:
+                cache.write_field(rid, node, codec.size_field)
+            page = store.pool._frames[rid_page(rid)]
+            assert page.decoded[rid] is node
+            assert codec.deserialize(store.read(rid)) == node
+            assert cache.get(rid) is node
+            sides.append((store.pool.stats.diff(before), page.dirty,
+                          bytes(page.data)))
+        assert sides[0] == sides[1]
+
+    def test_grouped_field_writes_equal_whole_writes(self):
+        sides = []
+        for grouped in (False, True):
+            store, codec, cache, rids = self.system()
+            nodes = [cache.get(rid) for rid in rids]
+            before = store.pool.stats.snapshot()
+            for node in nodes:
+                node.size -= 1
+            if grouped:
+                cache.update_many([(rids[0], nodes[0], codec.size_field),
+                                   (rids[1], nodes[1]),
+                                   (rids[2], nodes[2], codec.size_field)])
+            else:
+                cache.update_many(zip(rids, nodes))
+            for rid, node in zip(rids, nodes):
+                assert cache.get(rid) is node
+                assert codec.deserialize(store.read(rid)) == node
+            sides.append((store.pool.stats.diff(before),
+                          [bytes(page.data)
+                           for page in store.pool._frames.values()]))
+        assert sides[0] == sides[1]
+
+    def test_dirty_victim_is_written_back_guard_first(self):
+        log = []
+
+        class LoggingPageFile(InMemoryPageFile):
+            def read(self, page_id, into=None):
+                log.append(("read", page_id))
+                return super().read(page_id, into)
+
+            def write(self, page_id, data):
+                log.append(("write", page_id))
+                super().write(page_id, data)
+
+        store, codec, cache, rids = self.system(LoggingPageFile(),
+                                                capacity=1)
+        node = cache.get(rids[0])
+        other = store.allocate(2000, b"dirty")  # evicts the non-leaves
+        victim = rid_page(other)
+        store.pool.set_write_guard(lambda page_id: log.append(
+            ("guard", page_id)))
+        del log[:]
+        node.size += 1
+        cache.write_field(rids[0], node, codec.size_field)
+        assert log == [("guard", victim), ("write", victim),
+                       ("read", rid_page(rids[0]))]
+        assert codec.deserialize(store.read(rids[0])) == node
+
+    def test_failed_read_applies_no_field(self):
+        pagefile = FaultyPageFile(InMemoryPageFile())
+        store, codec, cache, rids = self.system(pagefile, capacity=2)
+        rid = rids[2]
+        node = cache.get(rid)
+        store.pool.clear()
+        image = bytes(pagefile.read(rid_page(rid)))
+        before = store.pool.stats.snapshot()
+        node.size += 5
+        pagefile.fail_next_reads(1)
+        with pytest.raises(TransientIOError):
+            cache.write_field(rid, node, codec.size_field)
+        assert not store.pool.is_resident(rid_page(rid))
+        assert store.pool.stats == before
+        assert bytes(pagefile.read(rid_page(rid))) == image
+        cache.write_field(rid, node, codec.size_field)  # the retry
+        assert codec.deserialize(store.read(rid)) == node
+        store.pool.clear()
+        assert codec.deserialize(store.read(rid)).size == node.size
+
+    def test_field_must_fit_its_record(self, store):
+        rid = store.allocate(64, b"x" * 64)
+        with pytest.raises(ValueError):
+            store.write(rid, b"\x00" * 4, offset=61)
+        with pytest.raises(ValueError):
+            store.write(rid, b"\x00", offset=-1)
+        assert store.read(rid) == b"x" * 64
 
 
 def _pad(value: str) -> bytes:
