@@ -139,15 +139,6 @@ def workload_mix_runs(scale: ExperimentScale,
     return out
 
 
-def continuous_performance(scale: ExperimentScale,
-                           mixes: Sequence[float] = (0.8, 0.5, 0.2),
-                           indexes: Sequence[str] = ("STRIPES", "TPR*")
-                           ) -> Dict[str, Dict[str, RunResult]]:
-    """Figure 9: total cost per batch of operations over the first
-    ``50K * scale`` operations."""
-    return workload_mix_runs(scale, mixes, indexes)
-
-
 # --------------------------------------------------------------------- #
 # E5: Figure 13 (scaling the number of moving objects)
 # --------------------------------------------------------------------- #

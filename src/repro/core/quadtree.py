@@ -1065,7 +1065,8 @@ class DualQuadTree:
     # ------------------------------------------------------------------ #
 
     def all_entries(self) -> List[DualPoint]:
-        """Every stored dual point (a test and checker helper)."""
+        """Every stored dual point (for checkers, and for a sharded
+        mirror that reloads a window)."""
         return self.codec.points(
             self._subtree_rows(self._root_rid, self._root_is_leaf))
 

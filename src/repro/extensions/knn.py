@@ -112,24 +112,6 @@ def _moving_box_min_dist2(lo_lines, hi_lines, point: Sequence[float],
     return max(0.0, best)
 
 
-def _box_min_dist2(lo: Sequence[float], hi: Sequence[float],
-                   point: Sequence[float]) -> float:
-    total = 0.0
-    for i, q in enumerate(point):
-        if q < lo[i]:
-            delta = lo[i] - q
-        elif q > hi[i]:
-            delta = q - hi[i]
-        else:
-            continue
-        total += delta * delta
-    return total
-
-
-def _point_dist2(pos: Sequence[float], point: Sequence[float]) -> float:
-    return sum((a - b) * (a - b) for a, b in zip(pos, point))
-
-
 def _stripes_cell_box(space: DualSpace, v_corner, p_corner, sl_v, sl_p,
                       t: float):
     """Native-space bounding box, at time ``t``, of every trajectory whose

@@ -167,9 +167,7 @@ class _WindowMirror:
     def __init__(self, space: DualSpace):
         self.space = space
         # oid -> list of (v, p) dual tuples.  A list, not a single slot:
-        # the index tolerates duplicate oids per window, and delete
-        # mirrors NodeCodec.remove_rows (exact (v, p) match first,
-        # then any entry of the oid).
+        # the index tolerates duplicate oids per window.
         self.entries: Dict[int, List[Tuple[Tuple[float, ...],
                                            Tuple[float, ...]]]] = {}
         self.size = 0
@@ -198,7 +196,8 @@ class ShardMirror:
     """Per-window columnar mirrors of one shard's live dual entries.
 
     The shard's single writer calls :meth:`note_insert_batch` /
-    :meth:`note_delete_batch` / :meth:`sync_windows` in lockstep with the
+    :meth:`note_delete_batch` (then :meth:`reload` if it returns False) /
+    :meth:`sync_windows` in lockstep with the
     underlying :class:`repro.core.stripes.StripesIndex` mutations (under
     the shard's exclusive lock; a single write is a batch of one);
     readers call :meth:`window_columns` under the shard's shared lock.
@@ -245,33 +244,36 @@ class ShardMirror:
         mirror.dirty = True
 
     def note_delete_batch(self, window: int,
-                          duals: Sequence[DualPoint]) -> None:
+                          duals: Sequence[DualPoint]) -> bool:
         """Remove the mirrored entries of a window group of deletes the
-        index accepted.
+        index accepted; False when one of them has no exact ``(v, p)``
+        match, which leaves the window for :meth:`reload`.
 
-        Matching mirrors :meth:`repro.core.nodes.NodeCodec.remove_rows`:
-        the exact ``(v, p)`` pair when present, else any entry of the
-        oid.
+        An exact match is the row the index removed
+        (:meth:`repro.core.nodes.NodeCodec.remove_rows` takes an equal
+        row first).  Without one, the index removed the first row of
+        the oid in the leaf the point descended to, which only the tree
+        knows.
         """
         mirror = self._windows.get(window)
-        if mirror is None:
-            return
-        entries = mirror.entries
-        removed = 0
+        entries = mirror.entries if mirror is not None else {}
         for dual in duals:
-            pairs = entries.get(dual.oid)
-            if not pairs:
-                continue
-            try:
-                pairs.remove((dual.v, dual.p))
-            except ValueError:
-                pairs.pop()
+            pair = (dual.v, dual.p)
+            pairs = entries.get(dual.oid, ())
+            if pair not in pairs:
+                return False
+            pairs.remove(pair)
             if not pairs:
                 del entries[dual.oid]
-            removed += 1
-        if removed:
-            mirror.size -= removed
+            mirror.size -= 1
             mirror.dirty = True
+        return True
+
+    def reload(self, window: int, points: Sequence[DualPoint]) -> None:
+        """Replace ``window``'s mirror with ``points``, the entries its
+        sub-index stores."""
+        self._windows.pop(window, None)
+        self.note_insert_batch(window, points)
 
     def sync_windows(self, live_windows: Sequence[int]) -> None:
         """Drop mirrors of windows the index has retired."""

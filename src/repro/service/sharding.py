@@ -330,8 +330,10 @@ class ShardedStripes:
                 by_window.setdefault(int(obj.t // lifetime), []).append(obj)
         mirror = shard.mirror
         for window, removed in by_window.items():
-            mirror.note_delete_batch(
-                window, _dual_group(mirror.space_for(window), removed)[0])
+            if not mirror.note_delete_batch(
+                    window, _dual_group(mirror.space_for(window), removed)[0]):
+                mirror.reload(window,
+                              shard.index._trees[window].all_entries())
         return sum(flags)
 
     def delete(self, obj: MovingObjectState) -> bool:

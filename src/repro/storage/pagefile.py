@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 import os
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.storage.page import PAGE_SIZE
 
@@ -185,11 +185,6 @@ class InMemoryPageFile(PageFile):
 
     def _write_page(self, page_id: int, data: bytes) -> None:
         self._pages[page_id][:] = data  # a copy into the file's own page
-
-    def iter_pages(self) -> Iterator[bytes]:
-        """Yield raw page buffers (test helper)."""
-        for page in self._pages:
-            yield bytes(page)
 
 
 class OnDiskPageFile(PageFile):

@@ -4,6 +4,7 @@ index layers, the bench runner's registry support, and the CLI
 
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.node_store import RecordStore
 from repro.storage.pagefile import InMemoryPageFile
 from repro.storage.stats import IOStats
+from repro.tpr.tprstar import TPRStarTree
 from repro.tpr.tprtree import TPRTree, TPRTreeConfig
 from repro.workload.generator import WorkloadSpec, generate_workload
 
@@ -187,3 +189,40 @@ class TestCliExplain:
         assert rc == 0
         assert "TPRTree explain" in out
         assert "tpr_inserts_total" in out
+
+
+class TestMetricsExport:
+    """Attaching a registry to an index loaded with a few thousand
+    objects yields a well-formed JSON snapshot and Prometheus
+    exposition."""
+
+    N_LOADED = 3_000
+
+    def _load(self, index, seed):
+        rng = random.Random(seed)
+        for oid in range(self.N_LOADED):
+            index.insert(MovingObjectState(
+                oid, (rng.uniform(0, 1000.0), rng.uniform(0, 1000.0)),
+                (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)), 0.0))
+        registry = MetricsRegistry()
+        index.attach_metrics(registry)
+        return registry
+
+    def test_metrics_json_well_formed(self):
+        registry = self._load(StripesIndex(StripesConfig(
+            vmax=(3.0, 3.0), pmax=(1000.0, 1000.0), lifetime=120.0)), 5)
+        data = json.loads(registry.to_json())
+        assert set(data) == {"counters", "gauges", "histograms"}
+        assert data["counters"]["stripes_inserts_total"] >= self.N_LOADED
+        assert data["gauges"]["stripes_entries"] >= self.N_LOADED
+        text = registry.expose_text()
+        assert "# TYPE stripes_inserts_total counter" in text
+        assert text.endswith("\n")
+
+    def test_tprstar_metrics_json_well_formed(self):
+        pool = BufferPool(InMemoryPageFile(), capacity=4096)
+        registry = self._load(TPRStarTree(TPRTreeConfig(d=2, horizon=60.0),
+                                          RecordStore(pool)), 6)
+        data = json.loads(registry.to_json())
+        assert data["counters"]["tpr_inserts_total"] >= self.N_LOADED
+        assert data["counters"]["tpr_choosepath_pops_total"] > 0

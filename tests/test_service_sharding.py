@@ -2,6 +2,7 @@
 reader/writer lock, fan-out parity against a serial index, and window
 rotation across shards."""
 
+import dataclasses
 import random
 import threading
 import time
@@ -9,6 +10,7 @@ import time
 import pytest
 
 from repro.baselines.scan import ScanIndex
+from repro.core.quadtree import QuadTreeConfig
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.query.types import MovingObjectState, TimeSliceQuery, WindowQuery
 from repro.service import RWLock, ShardedStripes, shard_of
@@ -200,6 +202,49 @@ def test_tree_path_matches_flat_path():
     queries = [random_query(rng, 20.0) for _ in range(30)]
     for f, t in zip(flat.query_batch(queries), tree.query_batch(queries)):
         assert set(f) == set(t)
+
+
+WIDE = StripesConfig(vmax=(3.0, 3.0), pmax=(1000.0, 1000.0), lifetime=30.0)
+SMALL_LEAVES = dataclasses.replace(
+    WIDE, quadtree=QuadTreeConfig(leaf_size_ladder=(128, 256)))
+#: Parked objects around each of oid 1's two entries, so that with
+#: SMALL_LEAVES the two entries sit in different leaves.
+CROWD = [(10 + i, (50.0 + 10 * (i % 10), 50.0 + 10 * (i // 10)))
+         for i in range(30)] + \
+    [(100 + i, (850.0 + 10 * (i % 10), 850.0 + 10 * (i // 10)))
+     for i in range(30)]
+
+
+@pytest.mark.parametrize("scan_threshold", [10_000, 0],
+                         ids=["flat", "tree"])
+@pytest.mark.parametrize("config,crowd,delete_at,kept,gone", [
+    (WIDE, [], (500.0, 500.0), 900.0, 100.0),
+    (SMALL_LEAVES, CROWD, (101.0, 100.0), 900.0, 100.0),
+    (SMALL_LEAVES, CROWD, (899.0, 900.0), 100.0, 900.0),
+], ids=["one-leaf", "two-leaves-near-first", "two-leaves-near-second"])
+def test_inexact_delete_removes_the_tree_row(scan_threshold, config, crowd,
+                                             delete_at, kept, gone):
+    """A delete whose ``(v, p)`` matches no stored entry removes the first
+    row of its oid in the leaf the point descends to; the flat engine
+    must answer as if it removed that same entry."""
+    sharded = ShardedStripes(config, n_shards=1,
+                             scan_threshold=scan_threshold)
+    still = (0.0, 0.0)
+    sharded.insert(MovingObjectState(1, (100.0, 100.0), still, 0.0))
+    for oid, pos in crowd:
+        sharded.insert(MovingObjectState(oid, pos, still, 0.0))
+    sharded.insert(MovingObjectState(1, (900.0, 900.0), still, 0.0))
+    if crowd:
+        assert sharded.shards[0].index.stats()[0].leaf_nodes > 2
+    assert sharded.delete(MovingObjectState(1, delete_at, still, 0.0))
+
+    def near(x):
+        return sharded.query(TimeSliceQuery((x - 5, x - 5), (x + 5, x + 5),
+                                            1.0))
+
+    assert near(kept) == [1]
+    assert near(gone) == []
+    assert sharded.shards[0].mirror.total_entries == len(crowd) + 1
 
 
 def test_shard_batch_time_covers_flat_evaluation(monkeypatch):
