@@ -28,7 +28,7 @@ Quickstart::
 
 from repro.baselines.scan import ScanIndex
 from repro.core.persistence import load_index, save_index
-from repro.core.quadtree import QuadTreeConfig
+from repro.core.quadtree import PAPER_LEAF_LADDER, QuadTreeConfig
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.extensions import distance_join, knn
 from repro.obs import MetricsRegistry, QueryExplain, Tracer
@@ -50,6 +50,7 @@ __all__ = [
     "StripesConfig",
     "StripesIndex",
     "QuadTreeConfig",
+    "PAPER_LEAF_LADDER",
     "ScanIndex",
     "knn",
     "distance_join",

@@ -108,9 +108,9 @@ def run_experiment(name: str, scale: ExperimentScale) -> None:
         print(f"  STRIPES height:         {stats.stripes_height}")
         print(f"  STRIPES non-leaf nodes: {stats.stripes_nonleaf_nodes} "
               f"({stats.stripes_nonleaf_bytes} bytes each)")
-        print(f"  STRIPES leaves:         {stats.stripes_small_leaves} "
-              f"small + {stats.stripes_large_leaves} large, occupancy "
-              f"{stats.stripes_leaf_occupancy:.1%}")
+        rungs = " + ".join(str(n) for n in stats.stripes_leaves_per_rung)
+        print(f"  STRIPES leaves:         {rungs} (half + full page), "
+              f"occupancy {stats.stripes_leaf_occupancy:.1%}")
         print(f"  TPR* pages:             {stats.tprstar_pages}")
         print(f"  TPR* height:            {stats.tprstar_height}")
         print(f"  size ratio STRIPES/TPR*: {stats.size_ratio:.2f}x "
@@ -118,7 +118,7 @@ def run_experiment(name: str, scale: ExperimentScale) -> None:
         print()
     elif name == "ablation-leaf":
         results = experiments.leaf_size_ablation(scale)
-        _print(render_load("A1 -- two leaf sizes vs single size (load)",
+        _print(render_load("A1 -- one, two and four leaf sizes (load)",
                            results, disk))
         _print_costs("A1 -- per-op costs", results, disk)
     elif name == "ablation-pruning":

@@ -31,9 +31,8 @@ from repro.bench.runner import (
     make_tprstar,
     run_workload,
 )
-from repro.core.quadtree import QuadTreeConfig
+from repro.core.quadtree import PAPER_LEAF_LADDER, QuadTreeConfig
 from repro.obs import MetricsRegistry
-from repro.storage.page import PAGE_SIZE
 from repro.storage.stats import DiskModel
 from repro.workload.generator import WorkloadSpec, generate_workload
 from repro.workload.operations import Workload
@@ -187,8 +186,8 @@ class StructureStats:
     stripes_nonleaf_nodes: int = 0
     stripes_nonleaf_bytes: int = 0
     stripes_leaf_occupancy: float = 0.0
-    stripes_small_leaves: int = 0
-    stripes_large_leaves: int = 0
+    #: Leaves per rung of the paper ladder (half page, full page).
+    stripes_leaves_per_rung: List[int] = field(default_factory=list)
     tprstar_pages: int = 0
     tprstar_height: int = 0
 
@@ -211,12 +210,14 @@ def structure_stats(scale: ExperimentScale, paper_n: int = 500_000,
     stripes = make_stripes(workload, scale.pool_pages, float32=float32)
     run_workload(stripes, workload, n_ops=0)
     out.stripes_pages = stripes.index.pages_in_use()
-    for tree_stats in stripes.index.stats().values():
-        out.stripes_height = max(out.stripes_height, tree_stats.height)
-        out.stripes_nonleaf_nodes += tree_stats.nonleaf_nodes
-        out.stripes_small_leaves += tree_stats.small_leaves
-        out.stripes_large_leaves += tree_stats.large_leaves
-        out.stripes_leaf_occupancy = tree_stats.leaf_occupancy
+    tree_stats = list(stripes.index.stats().values())
+    for one in tree_stats:
+        out.stripes_height = max(out.stripes_height, one.height)
+        out.stripes_nonleaf_nodes += one.nonleaf_nodes
+        out.stripes_leaf_occupancy = one.leaf_occupancy
+    out.stripes_leaves_per_rung = [
+        sum(rung) for rung in zip(*(one.leaves_per_rung
+                                    for one in tree_stats))]
     tree = next(iter(stripes.index._trees.values()))
     out.stripes_nonleaf_bytes = tree.codec.nonleaf_record_size
 
@@ -294,15 +295,14 @@ def leaf_size_ablation(scale: ExperimentScale,
     """A1: leaf sizing schemes.  ``single-size`` = every leaf a full page;
     ``two-sizes`` = the paper's half/full scheme (Section 5.1);
     ``ladder-4`` = the paper's stated future work of more than two leaf
-    sizes (1/8, 1/4, 1/2, full page), which should push occupancy higher
-    still."""
+    sizes (1/8, 1/4, 1/2, full page; the library default), which should
+    push occupancy higher still."""
     workload = scale.workload(paper_n, update_fraction)
-    page = PAGE_SIZE
     configs = {
-        "single-size": QuadTreeConfig(use_small_leaves=False),
-        "two-sizes": QuadTreeConfig(use_small_leaves=True),
-        "ladder-4": QuadTreeConfig(leaf_size_ladder=(
-            (page - 10) // 8, (page - 8) // 4, (page - 6) // 2, page - 5)),
+        "single-size": QuadTreeConfig(
+            leaf_size_ladder=PAPER_LEAF_LADDER[-1:]),
+        "two-sizes": QuadTreeConfig(leaf_size_ladder=PAPER_LEAF_LADDER),
+        "ladder-4": QuadTreeConfig(),
     }
     results = {}
     for label, quadtree in configs.items():
@@ -325,7 +325,8 @@ def pruning_ablation(scale: ExperimentScale,
     for label, pruning in (("pruned", True), ("unpruned", False)):
         setup = make_stripes(
             workload, scale.pool_pages,
-            quadtree=QuadTreeConfig(quad_pruning=pruning),
+            quadtree=QuadTreeConfig(quad_pruning=pruning,
+                                    leaf_size_ladder=PAPER_LEAF_LADDER),
             name=f"STRIPES[{label}]")
         results[label] = run_workload(setup, workload, n_ops=scale.n_ops,
                                       batch_size=scale.batch_size,

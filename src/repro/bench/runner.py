@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.baselines.scan import ScanIndex
-from repro.core.quadtree import QuadTreeConfig
+from repro.core.quadtree import PAPER_LEAF_LADDER, QuadTreeConfig
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.obs import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
 from repro.storage.buffer_pool import BufferPool
@@ -52,12 +52,17 @@ def make_stripes(workload: Workload, pool_pages: int,
                  quadtree: Optional[QuadTreeConfig] = None,
                  name: str = "STRIPES",
                  registry: Optional[MetricsRegistry] = None) -> IndexSetup:
-    """A STRIPES index sized for ``workload`` over a fresh pool."""
+    """A STRIPES index sized for ``workload`` over a fresh pool.
+
+    Without a ``quadtree`` config it uses the paper's two leaf sizes
+    (:data:`PAPER_LEAF_LADDER`), so the paper experiments measure the
+    paper's design rather than the library's default ladder."""
     pool = BufferPool(InMemoryPageFile(), capacity=pool_pages)
+    if quadtree is None:
+        quadtree = QuadTreeConfig(leaf_size_ladder=PAPER_LEAF_LADDER)
     config = StripesConfig(
         vmax=workload.vmax, pmax=workload.pmax, lifetime=lifetime,
-        float32=float32,
-        quadtree=quadtree if quadtree is not None else QuadTreeConfig())
+        float32=float32, quadtree=quadtree)
     index = StripesIndex(config, pool)
     if registry is not None:
         index.attach_metrics(registry)

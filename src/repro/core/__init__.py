@@ -6,7 +6,8 @@ Public entry point: :class:`repro.core.stripes.StripesIndex`.
 
 from repro.core.dual import DualSpace, DualPoint
 from repro.core.query_region import QueryRegion2D, RelPos
-from repro.core.quadtree import DualQuadTree, QuadTreeConfig
+from repro.core.quadtree import (DualQuadTree, PAPER_LEAF_LADDER,
+                                 QuadTreeConfig)
 from repro.core.stripes import StripesConfig, StripesIndex
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "RelPos",
     "DualQuadTree",
     "QuadTreeConfig",
+    "PAPER_LEAF_LADDER",
     "StripesConfig",
     "StripesIndex",
 ]

@@ -5,10 +5,11 @@ Three record types live in the record store (Section 4.2):
 * **Non-leaf nodes** -- small records (the paper packs ~11 per 4 KB page):
   level, grid lower corner, ``4^d`` child record ids, an is-leaf bitmask,
   and the subtree entry count (``size``).
-* **Leaf nodes** -- *small* (half-page) or *large* (full-page) records
-  holding dual points.  A leaf carries an ``overflow`` record id used only
-  when a maximum-depth leaf must hold more entries than fit in one record
-  (e.g. many coincident points); ``-1`` otherwise.
+* **Leaf nodes** -- records of one of the tree's leaf sizes (an eighth
+  of a page up to a full page by default) holding dual points.  A leaf
+  carries an ``overflow`` record id used only when a maximum-depth leaf
+  must hold more entries than fit in one record (e.g. many coincident
+  points); ``-1`` otherwise.
 * **Leaf extensions** -- continuation records for such overflow chains.
 
 Side lengths are not stored: a node at level ``k`` spans

@@ -68,8 +68,10 @@ from repro.storage.journal import (attach_undo_journal, recover_checkpoint,
 from repro.storage.node_store import RecordStore
 from repro.storage.pagefile import OnDiskPageFile, fsync_dir
 
-FORMAT_VERSION = 2
-_READABLE_FORMATS = (1, 2)  # version 1 predates checkpoint ids
+FORMAT_VERSION = 3
+# Version 1 predates checkpoint ids; versions 1-2 record the leaf sizes
+# as the two-size knobs (see _legacy_ladder).
+_READABLE_FORMATS = (1, 2, 3)
 
 
 def default_undo_path(journal_path: str | os.PathLike) -> str:
@@ -91,16 +93,13 @@ def _build_meta(index: StripesIndex, checkpoint_id: int) -> dict:
             "lifetime": config.lifetime,
             "float32": config.float32,
             "quadtree": {
-                "small_leaf_bytes": config.quadtree.small_leaf_bytes,
-                "large_leaf_bytes": config.quadtree.large_leaf_bytes,
                 "max_depth": config.quadtree.max_depth,
                 "collapse_capacity": config.quadtree.collapse_capacity,
-                "use_small_leaves": config.quadtree.use_small_leaves,
                 "quad_pruning": config.quadtree.quad_pruning,
-                "leaf_size_ladder":
-                    list(config.quadtree.leaf_size_ladder)
-                    if config.quadtree.leaf_size_ladder is not None
-                    else None,
+                # Resolved, so the pages reopen with the sizes they were
+                # written with whatever the default ladder becomes.
+                "leaf_size_ladder": list(config.quadtree.resolved_ladder(
+                    index.pool.pagefile.page_size)),
             },
         },
         "windows": [
@@ -268,19 +267,18 @@ def load_index(pagefile_path: str | os.PathLike,
 
     quadtree_meta = meta["config"]["quadtree"]
     ladder = quadtree_meta["leaf_size_ladder"]
+    if ladder is None:
+        ladder = _legacy_ladder(quadtree_meta, meta["page_size"])
     config = StripesConfig(
         vmax=tuple(meta["config"]["vmax"]),
         pmax=tuple(meta["config"]["pmax"]),
         lifetime=meta["config"]["lifetime"],
         float32=meta["config"]["float32"],
         quadtree=QuadTreeConfig(
-            small_leaf_bytes=quadtree_meta["small_leaf_bytes"],
-            large_leaf_bytes=quadtree_meta["large_leaf_bytes"],
             max_depth=quadtree_meta["max_depth"],
             collapse_capacity=quadtree_meta["collapse_capacity"],
-            use_small_leaves=quadtree_meta["use_small_leaves"],
             quad_pruning=quadtree_meta["quad_pruning"],
-            leaf_size_ladder=tuple(ladder) if ladder is not None else None,
+            leaf_size_ladder=tuple(ladder),
         ),
     )
 
@@ -313,6 +311,21 @@ def load_index(pagefile_path: str | os.PathLike,
         # between-checkpoint evictions are just as recoverable.
         attach_undo_journal(pool, undo_path)
     return index
+
+
+def _legacy_ladder(quadtree_meta: dict, page_size: int) -> list:
+    """The leaf ladder a format-1/2 sidecar without one was written with:
+    its ``small_leaf_bytes``/``large_leaf_bytes``/``use_small_leaves``
+    knobs, where ``None`` meant half a page and a full page."""
+    large = quadtree_meta["large_leaf_bytes"]
+    if large is None:
+        large = page_size - 5
+    small = quadtree_meta["small_leaf_bytes"]
+    if small is None:
+        small = (page_size - 6) // 2
+    if not quadtree_meta["use_small_leaves"] or small == large:
+        return [large]
+    return [small, large]
 
 
 def _restore_space_map(store: RecordStore, pages) -> None:

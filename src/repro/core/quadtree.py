@@ -11,11 +11,14 @@ follows the paper's design decisions:
   computation; missing target leaves are created lazily (case 1),
   non-full leaves absorb their share (case 2), and full leaves are
   promoted or split (case 3).
-* **Two leaf sizes** (Section 5.1): leaves are born *small* (half a page)
-  and are promoted to *large* (a full page) on their first overflow, which
-  roughly doubles leaf page occupancy.  A split of a large leaf converts it
-  to a non-leaf and redistributes entries into fresh small leaves; empty
-  children are simply not materialised.
+* **Leaf sizes** (Section 5.1): the paper's leaves are born half a page
+  and are promoted to a full page on their first overflow, which roughly
+  doubles leaf page occupancy.  By default this tree extends that to the
+  paper's future work of more sizes: leaves are born an eighth of a page
+  and promoted a rung at a time up a ladder to a full page
+  (:class:`QuadTreeConfig`).  A split of a full-page leaf converts it
+  to a non-leaf and redistributes entries into fresh bottom-rung leaves;
+  empty children are simply not materialised.
 * **Delete** (Section 4.4) runs the same grouped descent and checks
   non-leaf nodes for under-fill on the way back up; the topmost
   under-filled node of a path is collapsed back into a single leaf.  A
@@ -53,7 +56,9 @@ from repro.storage.node_store import (
     MAX_SLOTS_PER_PAGE,
     NodeCache,
     RecordStore,
+    SizeClass,
 )
+from repro.storage.page import PAGE_SIZE
 
 WRITE_GROUP_MIN = 4
 """Write groups smaller than this are classified (Eq. 1, via
@@ -65,32 +70,47 @@ the group size alone (:class:`DualQuadTree` write descents,
 :class:`repro.core.stripes.StripesIndex` batched writes)."""
 
 
+DEFAULT_LEAVES_PER_PAGE = (8, 4, 2, 1)
+"""Records per page of each rung of the default leaf ladder: leaves are
+born an eighth of a page and promoted through a quarter and a half to a
+full page."""
+
+
+def packed_ladder(page_size: int,
+                  per_page: Tuple[int, ...] = DEFAULT_LEAVES_PER_PAGE
+                  ) -> Tuple[int, ...]:
+    """The leaf ladder whose rungs are the largest records that pack
+    ``per_page[i]`` to a ``page_size``-byte page."""
+    return tuple(SizeClass.largest_record(k, page_size) for k in per_page)
+
+
+PAPER_LEAF_LADDER = packed_ladder(PAGE_SIZE, (2, 1))
+"""The paper's two leaf sizes (Section 5.1): half-page leaves promoted to
+full-page leaves on their first overflow, for :data:`PAGE_SIZE` pages.
+The paper experiments (:mod:`repro.bench.experiments`) pin it."""
+
+
 @dataclass(frozen=True)
 class QuadTreeConfig:
     """Tuning knobs for the quadtree.
 
-    ``small_leaf_bytes``/``large_leaf_bytes`` default to half a page and a
-    full page (minus the record-store header).  ``collapse_capacity`` is
-    the under-fill threshold of Section 4.4 and defaults to the large-leaf
-    capacity.  ``use_small_leaves=False`` disables the two-size scheme
-    (ablation A1: every leaf is born large).  ``quad_pruning=False``
-    disables the shared per-plane quad classification of Section 4.6.4
-    (ablation A2) -- results are identical, only more CPU is spent.
-
-    ``leaf_size_ladder`` generalises the two-size scheme to the paper's
-    stated future work ("extending our current implementation to use more
-    than two leaf node sizes"): a strictly increasing tuple of record
+    ``leaf_size_ladder`` is a strictly increasing tuple of leaf record
     sizes in bytes.  Leaves are born at the smallest size and promoted up
-    the ladder on overflow; only a leaf at the largest size splits.  When
-    set, it overrides ``small_leaf_bytes``/``large_leaf_bytes`` and
-    ``use_small_leaves``.
+    the ladder on overflow; only a leaf at the largest size splits.
+    ``None`` takes :func:`packed_ladder` of the page size: four sizes, an
+    eighth of a page up to a full page -- the paper's stated future work
+    ("extending our current implementation to use more than two leaf
+    node sizes").  :data:`PAPER_LEAF_LADDER` is the paper's own
+    half/full-page scheme; a one-rung ladder makes every leaf a full
+    page (ablation A1).  ``collapse_capacity`` is the under-fill
+    threshold of Section 4.4 and defaults to the top rung's capacity.
+    ``quad_pruning=False`` disables the shared per-plane quad
+    classification of Section 4.6.4 (ablation A2) -- results are
+    identical, only more CPU is spent.
     """
 
-    small_leaf_bytes: Optional[int] = None
-    large_leaf_bytes: Optional[int] = None
     max_depth: int = 20
     collapse_capacity: Optional[int] = None
-    use_small_leaves: bool = True
     quad_pruning: bool = True
     leaf_size_ladder: Optional[Tuple[int, ...]] = None
 
@@ -103,6 +123,12 @@ class QuadTreeConfig:
                 raise ValueError(
                     f"leaf_size_ladder must be strictly increasing, got "
                     f"{sizes}")
+
+    def resolved_ladder(self, page_size: int) -> Tuple[int, ...]:
+        """The leaf ladder a tree over ``page_size``-byte pages uses."""
+        if self.leaf_size_ladder is not None:
+            return tuple(self.leaf_size_ladder)
+        return packed_ladder(page_size)
 
 
 @dataclass
@@ -135,24 +161,20 @@ class QuadTreeCounters:
 class QuadTreeStats:
     """Structural statistics (used by the Section 5.1 reproduction).
 
-    ``small_leaves``/``mid_leaves``/``large_leaves`` classify leaves by
-    their position on the size ladder (bottom / interior / top);
-    ``leaves_by_size`` gives the exact per-record-size histogram.
+    ``leaves_per_rung[i]`` counts the leaves whose record is the tree's
+    ``leaf_ladder[i]`` bytes (smallest rung first).
     """
 
     entries: int = 0
     nonleaf_nodes: int = 0
-    small_leaves: int = 0
-    mid_leaves: int = 0
-    large_leaves: int = 0
+    leaves_per_rung: List[int] = field(default_factory=list)
     extension_records: int = 0
     height: int = 0
     leaf_slots: int = 0
-    leaves_by_size: Dict[int, int] = field(default_factory=dict)
 
     @property
     def leaf_nodes(self) -> int:
-        return self.small_leaves + self.mid_leaves + self.large_leaves
+        return sum(self.leaves_per_rung)
 
     @property
     def leaf_occupancy(self) -> float:
@@ -174,23 +196,8 @@ class DualQuadTree:
         self.config = config
         self.codec = NodeCodec(space.d, space.float32)
 
-        page_size = store.pool.pagefile.page_size
-        if config.leaf_size_ladder is not None:
-            self.leaf_ladder = list(config.leaf_size_ladder)
-        else:
-            # A full-page record: one slot per page (header 4 B + 1-bit
-            # bitmap); the default small record packs two per page.
-            large = (config.large_leaf_bytes
-                     if config.large_leaf_bytes is not None
-                     else page_size - 5)
-            small = (config.small_leaf_bytes
-                     if config.small_leaf_bytes is not None
-                     else (page_size - 6) // 2)
-            if small > large:
-                raise ValueError(
-                    "small leaf records cannot exceed large ones")
-            self.leaf_ladder = ([large] if not config.use_small_leaves
-                                or small == large else [small, large])
+        self.leaf_ladder = list(config.resolved_ladder(
+            store.pool.pagefile.page_size))
         self.small_bytes = self.leaf_ladder[0]
         self.large_bytes = self.leaf_ladder[-1]
         self.leaf_capacities = [self.codec.leaf_capacity(size)
@@ -1119,7 +1126,8 @@ class DualQuadTree:
 
     def stats(self) -> QuadTreeStats:
         """Walk the tree and collect structural statistics."""
-        stats = QuadTreeStats(entries=self.count)
+        stats = QuadTreeStats(entries=self.count,
+                              leaves_per_rung=[0] * len(self.leaf_ladder))
         if self._root_rid == INVALID_RID:
             return stats
         self._collect_stats(self._root_rid, self._root_is_leaf, 0, stats)
@@ -1129,16 +1137,9 @@ class DualQuadTree:
                        stats: QuadTreeStats) -> None:
         stats.height = max(stats.height, depth + 1)
         if is_leaf:
-            size = self.store.record_size_of(rid)
-            ladder_idx = self._ladder_index[size]
-            stats.leaves_by_size[size] = stats.leaves_by_size.get(size, 0) + 1
-            stats.leaf_slots += self.leaf_capacities[ladder_idx]
-            if ladder_idx == len(self.leaf_ladder) - 1:
-                stats.large_leaves += 1
-            elif ladder_idx == 0:
-                stats.small_leaves += 1
-            else:
-                stats.mid_leaves += 1
+            rung = self._ladder_index[self.store.record_size_of(rid)]
+            stats.leaves_per_rung[rung] += 1
+            stats.leaf_slots += self.leaf_capacities[rung]
             leaf = self.cache.get(rid)
             ext_rid = leaf.overflow
             while ext_rid != INVALID_RID:

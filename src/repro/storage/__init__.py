@@ -11,8 +11,8 @@ used in the paper (Section 5.1).  It provides:
   dirty tracking, and physical/logical IO statistics.  The paper uses a
   2048-page pool; benchmarks scale this with data size.
 * :mod:`repro.storage.node_store` -- record-level allocation on top of the
-  pool: full-page records, half-page records, and small slotted records
-  (several per page), which is how STRIPES packs ~11 non-leaf nodes per page.
+  pool: full-page records and records that pack several to a page,
+  which is how STRIPES packs ~11 non-leaf nodes per page.
 * :mod:`repro.storage.stats` -- IO counters and a synthetic disk-latency
   model used to convert IO counts into simulated elapsed time.
 """

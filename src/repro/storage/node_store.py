@@ -1,10 +1,12 @@
 """Record-level storage on top of the buffer pool.
 
 STRIPES stores non-leaf nodes as small records (352 bytes in the paper's
-two-dimensional configuration, ~11 per 4 KB page -- Section 5.1), *small*
-leaves as half-page records, and *large* leaves as full-page records.  The
-TPR/TPR*-trees store one node per page.  :class:`RecordStore` supports all
-of these through per-page size classes:
+two-dimensional configuration, ~11 per 4 KB page -- Section 5.1) and
+leaves as records of a fraction of a page (an eighth to a whole page;
+:meth:`SizeClass.largest_record` gives the largest that pack ``k`` to a
+page).  The TPR/TPR*-trees store one node per page.
+:class:`RecordStore` supports all of these through per-page size
+classes:
 
 * every page is dedicated to a single record size;
 * a small header carries the record size, slot count, and an occupancy
@@ -105,6 +107,12 @@ class SizeClass:
         if not 0 <= slot < self.num_slots:
             raise ValueError(f"slot {slot} out of range [0, {self.num_slots})")
         return self.records_offset + slot * self.record_size
+
+    @staticmethod
+    def largest_record(per_page: int, page_size: int) -> int:
+        """The largest record size whose pages hold ``per_page`` slots
+        (header and occupancy bitmap included)."""
+        return (page_size - _HEADER.size - (per_page + 7) // 8) // per_page
 
 
 def rid_page(rid: int) -> int:

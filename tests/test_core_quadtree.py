@@ -14,7 +14,11 @@ from repro.core.nodes import (
     NonLeafNode,
     points_from_columns,
 )
-from repro.core.quadtree import DualQuadTree, QuadTreeConfig
+from repro.core.quadtree import (
+    PAPER_LEAF_LADDER,
+    DualQuadTree,
+    QuadTreeConfig,
+)
 from repro.core.query_region import build_query_regions
 from repro.query.types import TimeSliceQuery, WindowQuery
 from repro.storage.buffer_pool import BufferPool
@@ -107,16 +111,18 @@ class TestInsert:
         check_invariants(tree)
 
     def test_small_leaf_promoted_to_large(self):
-        tree = make_tree()
-        rng = random.Random(2)
-        for oid in range(tree.small_capacity + 1):
-            tree.insert(random_point(rng, oid))
-        stats = tree.stats()
-        # One overflow of a small root leaf: promoted, not split.
-        assert stats.large_leaves == 1
-        assert stats.small_leaves == 0
-        assert stats.nonleaf_nodes == 0
-        check_invariants(tree)
+        # One overflow of a bottom-rung root leaf: promoted one rung,
+        # not split -- to the top on the paper's two sizes.
+        for ladder, rungs in ((None, [0, 1, 0, 0]),
+                              (PAPER_LEAF_LADDER, [0, 1])):
+            tree = make_tree(QuadTreeConfig(leaf_size_ladder=ladder))
+            rng = random.Random(2)
+            for oid in range(tree.small_capacity + 1):
+                tree.insert(random_point(rng, oid))
+            stats = tree.stats()
+            assert stats.leaves_per_rung == rungs
+            assert stats.nonleaf_nodes == 0
+            check_invariants(tree)
 
     def test_bulk_inserts_preserve_invariants(self):
         tree = make_tree()
@@ -294,17 +300,20 @@ class TestDestroyAndStats:
             tree.insert(random_point(rng, oid))
         stats = tree.stats()
         assert stats.entries == 600
-        assert stats.leaf_nodes == stats.small_leaves + stats.large_leaves
+        assert len(stats.leaves_per_rung) == len(tree.leaf_ladder)
+        assert stats.leaf_nodes == sum(stats.leaves_per_rung)
         assert 0.0 < stats.leaf_occupancy <= 1.0
         assert stats.height >= 2
 
     def test_single_size_config_uses_only_large_leaves(self):
-        tree = make_tree(QuadTreeConfig(use_small_leaves=False))
+        tree = make_tree(
+            QuadTreeConfig(leaf_size_ladder=PAPER_LEAF_LADDER[-1:]))
         rng = random.Random(12)
         for oid in range(400):
             tree.insert(random_point(rng, oid))
         stats = tree.stats()
-        assert stats.small_leaves + stats.large_leaves > 0
+        assert stats.leaves_per_rung == [stats.leaf_nodes]
+        assert stats.leaf_nodes > 0
         assert tree.small_bytes == tree.large_bytes
         check_invariants(tree)
 

@@ -7,8 +7,13 @@ import pytest
 
 from repro.baselines.scan import ScanIndex
 from repro.core.dual import DualPoint, DualSpace
-from repro.core.nodes import points_from_columns
-from repro.core.quadtree import DualQuadTree, QuadTreeConfig
+from repro.core.nodes import NodeCodec, points_from_columns
+from repro.core.quadtree import (
+    PAPER_LEAF_LADDER,
+    DualQuadTree,
+    QuadTreeConfig,
+    packed_ladder,
+)
 from repro.core.query_region import build_query_regions
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.query.types import (
@@ -18,7 +23,7 @@ from repro.query.types import (
     WindowQuery,
 )
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.node_store import RecordStore
+from repro.storage.node_store import RecordStore, SizeClass
 from repro.storage.pagefile import InMemoryPageFile
 from repro.storage.page import PAGE_SIZE
 
@@ -57,6 +62,26 @@ class TestLeafSizeLadder:
                                              "capacities"):
             make_tree(QuadTreeConfig(leaf_size_ladder=(500, 505)))
 
+    def test_default_ladder_packs_eight_four_two_one(self):
+        """The default rungs are the largest records that pack 8, 4, 2
+        and 1 to a page, with the capacities of the hand-written
+        ``(510, 1022, 2045, 4091)`` ladder ablation A1 used before."""
+        ladder = packed_ladder(PAGE_SIZE)
+        assert ladder == (511, 1022, 2045, 4091)
+        assert make_tree().leaf_ladder == list(ladder)
+        assert PAPER_LEAF_LADDER == ladder[2:]
+        for size, per_page in zip(ladder, (8, 4, 2, 1)):
+            assert SizeClass(size, PAGE_SIZE).num_slots == per_page
+        for size, per_page in zip(ladder[:-1], (8, 4, 2)):
+            assert SizeClass(size + 1, PAGE_SIZE).num_slots < per_page
+        with pytest.raises(ValueError, match="does not fit"):
+            SizeClass(ladder[-1] + 1, PAGE_SIZE)
+        for d in (1, 2, 3):
+            for float32 in (False, True):
+                codec = NodeCodec(d, float32)
+                assert [codec.leaf_capacity(b) for b in ladder] == \
+                    [codec.leaf_capacity(b) for b in (510, 1022, 2045, 4091)]
+
     def test_ladder_overrides_two_size_scheme(self):
         tree = make_tree(QuadTreeConfig(leaf_size_ladder=LADDER))
         assert tree.leaf_ladder == list(LADDER)
@@ -72,13 +97,14 @@ class TestLeafSizeLadder:
         for oid in range(tree.leaf_capacities[0] + 1):
             tree.insert(random_point(rng, oid))
         stats = tree.stats()
-        assert stats.leaves_by_size == {LADDER[1]: 1}
+        assert stats.leaves_per_rung == [0, 1, 0, 0]
 
     def test_four_rung_ladder_correctness(self):
         """A four-size ladder must not change any result set."""
         rng = random.Random(2)
         ladder_tree = make_tree(QuadTreeConfig(leaf_size_ladder=LADDER))
-        plain_tree = make_tree()
+        plain_tree = make_tree(
+            QuadTreeConfig(leaf_size_ladder=PAPER_LEAF_LADDER))
         points = [random_point(rng, oid) for oid in range(1500)]
         for point in points:
             ladder_tree.insert(point)
@@ -100,7 +126,8 @@ class TestLeafSizeLadder:
     def test_ladder_improves_occupancy(self):
         rng = random.Random(3)
         ladder_tree = make_tree(QuadTreeConfig(leaf_size_ladder=LADDER))
-        single_tree = make_tree(QuadTreeConfig(use_small_leaves=False))
+        single_tree = make_tree(
+            QuadTreeConfig(leaf_size_ladder=PAPER_LEAF_LADDER[-1:]))
         for oid in range(3000):
             point = random_point(rng, oid)
             ladder_tree.insert(point)

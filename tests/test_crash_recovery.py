@@ -49,9 +49,12 @@ class TestCrashMatrix:
     like the never-crashed scan replica."""
 
     def _run(self, survival):
+        # The 200-object index spans ~9 pages on the default leaf
+        # ladder, so a 6-page pool keeps evicting dirty pages between
+        # checkpoints.
         return run_crash_matrix(
             seed=11, n_initial=200, n_ops=150, n_checkpoints=3,
-            pool_pages=10, write_stride=15, failpoint_stride=3,
+            pool_pages=6, write_stride=15, failpoint_stride=3,
             torn_samples=2, transient_samples=2, read_samples=1,
             survival=survival)
 
@@ -94,7 +97,8 @@ class TestEvictThenCrashRegression:
     def test_evicted_pages_roll_back_to_checkpoint(self, tmp_path):
         rng = random.Random(17)
         faulty = FaultyPageFile(InMemoryPageFile())
-        pool = BufferPool(faulty, capacity=10)
+        # The checkpointed index spans 9 pages: a 6-page pool must evict.
+        pool = BufferPool(faulty, capacity=6)
         index = StripesIndex(CONFIG, pool)
         for state in _states(400, rng):
             index.insert(state)
@@ -119,7 +123,7 @@ class TestEvictThenCrashRegression:
         # case: every eviction write-back IS on the platter.
         reopened = load_index(
             "<in-memory>", meta,
-            pool=BufferPool(faulty.reopen_durable("all"), capacity=10),
+            pool=BufferPool(faulty.reopen_durable("all"), capacity=6),
             journal_path=journal, undo_path=undo)
         assert reopened.checkpoint_id == 1
         assert reopened.check() == []

@@ -11,11 +11,16 @@ claims and Figure 14's uniform reference share one
 ``slow``: tier-1 deselects it and a gating CI job runs it.
 """
 
+import statistics
+import time
+
 import pytest
 
 from repro.bench import experiments
 from repro.bench.experiments import ExperimentScale
+from repro.bench.runner import make_tpr, make_tprstar, run_workload
 from repro.storage.page import PAGE_SIZE
+from repro.workload.generator import WorkloadSpec, generate_workload
 
 pytestmark = pytest.mark.slow
 
@@ -137,11 +142,32 @@ def test_a2_quad_pruning_keeps_answers_and_io():
 
 def test_a3_choosepath_insert_premium():
     """ChoosePath and PickWorst make TPR* inserts cost about as much CPU
-    as greedy TPR inserts, or more."""
+    as greedy TPR inserts, or more.
+
+    At this scale the two trees do about the same work, so the means of
+    the ablation's two runs, one after the other, read host noise.  Both
+    trees instead replay the same 400 updates in turn, one update each,
+    and their per-update medians are compared: a slow stretch of the
+    host lands on both."""
     results = experiments.choosepath_ablation(SCALE)
-    tprstar, tpr = results["TPR*"], results["TPR"]
-    assert update_cpu(tprstar) >= 0.8 * update_cpu(tpr)
-    assert tprstar.queries.count == tpr.queries.count
+    assert results["TPR*"].queries.count == results["TPR"].queries.count
+    workload = generate_workload(WorkloadSpec(
+        n_objects=SCALE.n_objects(500_000), update_fraction=1.0,
+        space_side=SCALE.paper_side(500_000), n_operations=400,
+        seed=SCALE.seed))
+    trees = [make_tprstar(workload, SCALE.pool_pages),
+             make_tpr(workload, SCALE.pool_pages)]
+    for setup in trees:
+        run_workload(setup, workload, n_ops=0)
+    seconds = ([], [])
+    for op in workload.operations:
+        for setup, out in zip(trees, seconds):
+            start = time.perf_counter()
+            setup.index.update(op.old, op.new)
+            out.append(time.perf_counter() - start)
+    tprstar, tpr = seconds
+    assert len(tprstar) == 400
+    assert statistics.median(tprstar) >= 0.8 * statistics.median(tpr)
 
 
 def test_a4_every_horizon_answers():

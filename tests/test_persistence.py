@@ -1,13 +1,21 @@
 """Checkpoint/reopen tests: a saved on-disk index must answer identically
 after being reloaded in a fresh process-like context."""
 
+import gzip
+import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.baselines.scan import ScanIndex
-from repro.core.persistence import save_index, load_index
-from repro.core.quadtree import QuadTreeConfig
+from repro.core.persistence import FORMAT_VERSION, load_index, save_index
+from repro.core.quadtree import (
+    PAPER_LEAF_LADDER,
+    QuadTreeConfig,
+    packed_ladder,
+)
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.query.types import MovingObjectState, TimeSliceQuery, WindowQuery
 from repro.storage.buffer_pool import BufferPool
@@ -126,7 +134,6 @@ class TestCheckpointRoundTrip:
         meta = tmp_path / "index.meta"
         save_index(index, meta)
         pagefile.close()
-        import json
         blob = json.loads(meta.read_text())
         blob["format"] = 999
         meta.write_text(json.dumps(blob))
@@ -138,9 +145,115 @@ class TestCheckpointRoundTrip:
         meta = tmp_path / "index.meta"
         save_index(index, meta)
         pagefile.close()
-        import json
         blob = json.loads(meta.read_text())
         blob["page_size"] = 8192
         meta.write_text(json.dumps(blob))
         with pytest.raises(ValueError, match="page size|truncated"):
             load_index(path, meta)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def legacy_states():
+    """The states of ``fixtures/format2.stripes``: 300 inserted by one
+    ``insert_batch`` in window 0, then every third updated into
+    window 1."""
+    rng = random.Random(23)
+
+    def state(oid, t):
+        return MovingObjectState(
+            oid, (rng.uniform(0, 200.0), rng.uniform(0, 200.0)),
+            (rng.uniform(-3, 3), rng.uniform(-3, 3)), t)
+
+    first = [state(oid, rng.uniform(0, 29)) for oid in range(300)]
+    moved = [state(oid, rng.uniform(30, 59)) for oid in range(0, 300, 3)]
+    return first, moved
+
+
+class TestLegacySidecar:
+    """``fixtures/format2.stripes(.meta)`` is a checkpoint of
+    :func:`legacy_states` (``CONFIG``, 64-page pool, ``save_index``
+    without a journal) written by the format-2 code, whose default was
+    the paper's two leaf sizes and whose sidecar kept them as
+    ``small_leaf_bytes``/``large_leaf_bytes``/``use_small_leaves`` with
+    ``leaf_size_ladder: null``.  Its pages hold half- and full-page
+    leaves, so it must reopen on that ladder, not on today's default."""
+
+    def reopen(self, tmp_path):
+        path = tmp_path / "format2.stripes"
+        with gzip.open(FIXTURES / "format2.stripes.gz") as src, \
+                open(path, "wb") as dst:
+            shutil.copyfileobj(src, dst)
+        meta = tmp_path / "format2.stripes.meta"
+        shutil.copy(FIXTURES / "format2.stripes.meta", meta)
+        blob = json.loads(meta.read_text())
+        assert blob["format"] == 2
+        assert blob["config"]["quadtree"]["leaf_size_ladder"] is None
+        return path, meta, load_index(path, meta, pool_pages=64)
+
+    @staticmethod
+    def oracle():
+        first, moved = legacy_states()
+        scan = ScanIndex(CONFIG.lifetime)
+        for state in first:
+            scan.insert(state)
+        for new in moved:
+            scan.update(first[new.oid], new)
+        return scan
+
+    @staticmethod
+    def assert_same_answers(index, scan, rng):
+        for _ in range(25):
+            x = rng.uniform(0, 160)
+            t1 = rng.uniform(30, 70)
+            query = WindowQuery((x, x), (x + 40, x + 40), t1, t1 + 10)
+            assert sorted(index.query(query)) == sorted(scan.query(query))
+
+    def test_reopens_on_the_two_sizes_it_was_written_with(self, tmp_path):
+        path, meta, index = self.reopen(tmp_path)
+        assert index.config.quadtree.leaf_size_ladder == PAPER_LEAF_LADDER
+        assert index.check() == []
+        assert len(index) == 300
+        scan = self.oracle()
+        rng = random.Random(5)
+        self.assert_same_answers(index, scan, rng)
+        # Insert into window 0 until a half-page leaf overflows into a
+        # full-page one.
+        promotions = sum(tree.counters.leaf_promotions
+                         for tree in index._trees.values())
+        oid = 1000
+        while sum(tree.counters.leaf_promotions
+                  for tree in index._trees.values()) == promotions:
+            assert oid < 3000, "no leaf was promoted"
+            state = random_state(rng, oid, rng.uniform(0, 29))
+            index.insert(state)
+            scan.insert(state)
+            oid += 1
+        assert index.check() == []
+        self.assert_same_answers(index, scan, rng)
+        # The next checkpoint records the resolved ladder.
+        save_index(index, meta)
+        index.pool.pagefile.close()
+        blob = json.loads(meta.read_text())
+        assert blob["format"] == FORMAT_VERSION
+        assert blob["config"]["quadtree"]["leaf_size_ladder"] \
+            == list(PAPER_LEAF_LADDER)
+        again = load_index(path, meta, pool_pages=64)
+        assert again.check() == []
+        self.assert_same_answers(again, scan, rng)
+        again.pool.pagefile.close()
+
+    def test_default_ladder_is_recorded_resolved(self, tmp_path):
+        path, pagefile, index, _, _, _ = build_on_disk(tmp_path, n=100)
+        meta = tmp_path / "index.meta"
+        save_index(index, meta)
+        pagefile.close()
+        blob = json.loads(meta.read_text())
+        assert blob["config"]["quadtree"]["leaf_size_ladder"] \
+            == list(packed_ladder(pagefile.page_size))
+        reopened = load_index(path, meta, pool_pages=64)
+        assert reopened.config.quadtree.leaf_size_ladder \
+            == packed_ladder(pagefile.page_size)
+        assert reopened.check() == []
+        reopened.pool.pagefile.close()

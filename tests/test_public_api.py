@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro import (
+    PAPER_LEAF_LADDER,
     MovingObjectState,
     MovingQuery,
     QuadTreeConfig,
@@ -68,8 +69,9 @@ class TestReadmeQuickstart:
     def test_custom_quadtree_config(self):
         config = StripesConfig(vmax=(3.0, 3.0), pmax=(100.0, 100.0),
                                lifetime=60.0,
-                               quadtree=QuadTreeConfig(max_depth=5,
-                                                       use_small_leaves=False))
+                               quadtree=QuadTreeConfig(
+                                   max_depth=5,
+                                   leaf_size_ladder=PAPER_LEAF_LADDER))
         index = StripesIndex(config)
         index.insert(MovingObjectState(1, (1.0, 1.0), (0.0, 0.0), 0.0))
         assert len(index) == 1

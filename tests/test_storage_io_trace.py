@@ -14,11 +14,12 @@ here.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from repro.bench.runner import IndexSetup, run_workload
-from repro.core.quadtree import QuadTreeConfig
+from repro.core.quadtree import PAPER_LEAF_LADDER, QuadTreeConfig
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pagefile import InMemoryPageFile
@@ -28,7 +29,8 @@ from tests import test_thrashing_pool as thrashing
 from tests import test_write_golden as write_golden
 
 #: ``(sha256 of the (op, page id) sequence, reads + writes, evictions,
-#: physical writes)`` of each traced run.
+#: physical writes)`` of each traced run, on the paper's two leaf sizes
+#: and on the default ladder.
 GOLDEN_TRACE = {
     "thrashing_query_pass": (
         "697d2ff05d562b84f633371afc9ca59c8a144a5379b64a80df6e31eb0d2594db",
@@ -36,6 +38,12 @@ GOLDEN_TRACE = {
     "update_heavy_run": (
         "caf7a38d4da6ba63dea644395c6a88660ece02e36f6e42bd736b75e228a451c5",
         161465, 153091, 8431),
+    "thrashing_query_pass[default ladder]": (
+        "831d6cc4ace95e85276cb1dfc15cec9d7f914306f5488d05696594cd4ea7ad94",
+        1213, 1198, 15),
+    "update_heavy_run[default ladder]": (
+        "1b472bf9b8eb2ab75f873ab606c04623601721af6a6111f2e6e1eb7b6270600b",
+        114446, 106534, 7947),
 }
 
 
@@ -63,12 +71,14 @@ def summary(pagefile, pool):
             pool.stats.physical_writes)
 
 
-def thrashing_query_pass():
+def thrashing_query_pass(ladder=PAPER_LEAF_LADDER):
     """Bulk load and one query pass of the thrashing-pool test, over a
     16-page pool; the trace starts with the query pass."""
     pagefile = TracingPageFile()
     pool = BufferPool(pagefile, capacity=thrashing.POOL_PAGES)
-    index = StripesIndex(thrashing.CONFIG, pool)
+    index = StripesIndex(
+        replace(thrashing.CONFIG,
+                quadtree=QuadTreeConfig(leaf_size_ladder=ladder)), pool)
     rng = thrashing.random.Random(2024)
     states = thrashing.make_states(rng)
     index.insert_batch(states)
@@ -78,13 +88,17 @@ def thrashing_query_pass():
     del pagefile.trace[:]
     before = pool.stats.snapshot()
     io = thrashing.query_pass(rng, index, oracle, now=150.0)
-    assert io == thrashing.GOLDEN_IO
+    if ladder == PAPER_LEAF_LADDER:
+        assert io == thrashing.GOLDEN_IO
+    else:
+        assert io == thrashing.with_physical(
+            thrashing.GOLDEN_IO, thrashing.GOLDEN_PHYSICAL_LADDER["query"])
     diff = pool.stats.diff(before)
     digest, n_ops, _, _ = summary(pagefile, pool)
     return digest, n_ops, diff.evictions, diff.physical_writes
 
 
-def update_heavy_run():
+def update_heavy_run(ladder=PAPER_LEAF_LADDER):
     """The update-heavy run of the write golden (2,000 objects, 8,000
     operations, half updates, 16-page pool), traced from the start."""
     workload = generate_workload(write_golden.SPEC)
@@ -92,7 +106,9 @@ def update_heavy_run():
     pool = BufferPool(pagefile, capacity=write_golden.POOL_PAGES)
     index = StripesIndex(
         StripesConfig(vmax=workload.vmax, pmax=workload.pmax,
-                      lifetime=120.0, quadtree=QuadTreeConfig()), pool)
+                      lifetime=120.0,
+                      quadtree=QuadTreeConfig(leaf_size_ladder=ladder)),
+        pool)
     result = run_workload(IndexSetup("STRIPES", index, pool), workload)
     assert result.query_hits == write_golden.GOLDEN["query_hits"]
     return summary(pagefile, pool)
@@ -101,6 +117,10 @@ def update_heavy_run():
 @pytest.mark.parametrize("name, run", [
     ("thrashing_query_pass", thrashing_query_pass),
     ("update_heavy_run", update_heavy_run),
+    ("thrashing_query_pass[default ladder]",
+     lambda: thrashing_query_pass(ladder=None)),
+    ("update_heavy_run[default ladder]",
+     lambda: update_heavy_run(ladder=None)),
 ])
 def test_physical_io_trace(name, run):
     assert run() == GOLDEN_TRACE[name]

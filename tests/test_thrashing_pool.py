@@ -25,7 +25,7 @@ import pytest
 
 from repro.baselines.scan import ScanIndex
 from repro.core.nodes import LeafExtension, LeafNode, NodeCodec
-from repro.core.quadtree import QuadTreeConfig
+from repro.core.quadtree import PAPER_LEAF_LADDER, QuadTreeConfig
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.query.types import (
     MovingObjectState,
@@ -37,7 +37,9 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.pagefile import InMemoryPageFile
 
 CONFIG = StripesConfig(vmax=(3.0, 3.0), pmax=(1000.0, 1000.0),
-                       lifetime=120.0)
+                       lifetime=120.0,
+                       quadtree=QuadTreeConfig(
+                           leaf_size_ladder=PAPER_LEAF_LADDER))
 POOL_PAGES = 16
 N_OBJECTS = 3000
 N_QUERIES = 40
@@ -74,7 +76,8 @@ GOLDEN_COUNT_IO = [
 PLANE_CODE_CONFIGS = {
     "d1": replace(CONFIG, vmax=(3.0,), pmax=(1000.0,)),
     "d3": replace(CONFIG, vmax=(3.0,) * 3, pmax=(1000.0,) * 3),
-    "d2-a2": replace(CONFIG, quadtree=QuadTreeConfig(quad_pruning=False)),
+    "d2-a2": replace(CONFIG, quadtree=QuadTreeConfig(
+        quad_pruning=False, leaf_size_ladder=PAPER_LEAF_LADDER)),
 }
 
 #: ``(count, logical_reads, physical_reads)`` of :func:`count_pass` over
@@ -99,6 +102,46 @@ GOLDEN_COUNT_IO_PLANE_CODES = {
     ],
     "d2-a2": GOLDEN_COUNT_IO,
 }
+
+#: The library's default leaf ladder (an eighth of a page up to a full
+#: page) over the inputs of each golden above.  Leaf sizes change which
+#: page holds a record, not the tree: counts, answers and logical reads
+#: equal the two-size rows, and only the physical reads below differ.
+LADDER_CONFIGS = {
+    name: replace(config, quadtree=replace(config.quadtree,
+                                           leaf_size_ladder=None))
+    for name, config in [("d2", CONFIG), *PLANE_CODE_CONFIGS.items()]}
+
+#: Physical reads per query of the query pass (``"query"``) and of each
+#: count pass over :data:`LADDER_CONFIGS`.
+GOLDEN_PHYSICAL_LADDER = {
+    "query": [
+        37, 24, 34, 34, 30, 28, 26, 27, 25, 23, 27, 34, 34, 40, 35, 37,
+        28, 27, 34, 40, 24, 30, 25, 25, 24, 26, 35, 36, 24, 34, 39, 23,
+        27, 32, 29, 28, 25, 34, 25, 29,
+    ],
+    "d2": [
+        34, 29, 51, 60, 24, 39, 55, 60, 24, 26, 57, 61, 30, 45, 51, 60,
+        26, 32, 54, 60, 27, 34, 51, 60,
+    ],
+    "d1": [
+        9, 14, 13, 21, 12, 5, 21, 21, 6, 8, 13, 21, 9, 7, 22, 21, 12, 3,
+        21, 23, 1, 17, 22, 21,
+    ],
+    "d3": [
+        43, 50, 83, 85, 35, 36, 84, 85, 38, 59, 84, 85, 66, 60, 84, 85,
+        35, 50, 83, 85, 39, 36, 83, 85,
+    ],
+}
+GOLDEN_PHYSICAL_LADDER["d2-a2"] = GOLDEN_PHYSICAL_LADDER["d2"]
+
+
+def with_physical(golden, physical):
+    """The rows of ``golden`` with their last field, the physical
+    reads, replaced by ``physical``."""
+    return [row[:-1] + (reads,)
+            for row, reads in zip(golden, physical, strict=True)]
+
 
 def make_states(rng, config=CONFIG):
     # Two live lifetime windows, as in the paper's steady state.
@@ -262,6 +305,27 @@ def test_count_pass_golden_io_plane_codes(name):
     assert index.pages_in_use() > POOL_PAGES
     assert count_pass(rng, index, oracle, now=150.0) \
         == GOLDEN_COUNT_IO_PLANE_CODES[name]
+
+def test_default_ladder_query_pass_golden_io(decoded_leaves, point_lists):
+    """The query pass on the default ladder: the same answers and
+    logical reads as the two-size golden, from fewer pages."""
+    rng, _, index, oracle = build(LADDER_CONFIGS["d2"])
+    assert index.pages_in_use() > 2 * POOL_PAGES
+    del decoded_leaves[:], point_lists[:]
+    io = query_pass(rng, index, oracle, now=150.0)
+    assert decoded_leaves and not point_lists
+    assert io == with_physical(GOLDEN_IO, GOLDEN_PHYSICAL_LADDER["query"])
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CONFIGS))
+def test_default_ladder_count_pass_golden_io(name):
+    rng, _, index, oracle = build(LADDER_CONFIGS[name])
+    assert index.pages_in_use() > POOL_PAGES
+    golden = (GOLDEN_COUNT_IO if name == "d2"
+              else GOLDEN_COUNT_IO_PLANE_CODES[name])
+    assert count_pass(rng, index, oracle, now=150.0) \
+        == with_physical(golden, GOLDEN_PHYSICAL_LADDER[name])
+
 
 def test_updates_after_thrashing_pass_stay_exact():
     rng, states, index, oracle = build()

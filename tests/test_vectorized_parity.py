@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.scan import ScanIndex
-from repro.core.quadtree import QuadTreeConfig
+from repro.core.quadtree import PAPER_LEAF_LADDER, QuadTreeConfig
 from repro.core.query_region import QueryRegion2D, build_query_regions
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.obs.tracer import DescentTrace
@@ -172,10 +172,12 @@ class TestMatchesBatchParity:
 
 
 def make_index(d: int = 2, float32: bool = False,
-               quad_pruning: bool = True) -> StripesIndex:
+               quad_pruning: bool = True,
+               leaf_size_ladder=None) -> StripesIndex:
     return StripesIndex(StripesConfig(
         vmax=VMAX[:d], pmax=PMAX[:d], lifetime=LIFETIME, float32=float32,
-        quadtree=QuadTreeConfig(quad_pruning=quad_pruning)))
+        quadtree=QuadTreeConfig(quad_pruning=quad_pruning,
+                                leaf_size_ladder=leaf_size_ladder)))
 
 
 def make_oracle(states) -> ScanIndex:
@@ -265,9 +267,13 @@ class TestIndexLevelParity:
             if isinstance(query, TimeSliceQuery):
                 assert sorted(candidates) == sorted(expect)
 
-    def test_insert_batch_equals_sequential(self):
+    @staticmethod
+    def batch_and_sequential(ladder):
+        """600 states inserted by one ``insert_batch`` and one by one,
+        both checked against the scan oracle."""
         rng = random.Random(9)
-        batch_idx, seq_idx = make_index(), make_index()
+        batch_idx = make_index(leaf_size_ladder=ladder)
+        seq_idx = make_index(leaf_size_ladder=ladder)
         states = random_states(rng, 600)
         assert batch_idx.insert_batch(states) == len(states)
         for state in states:
@@ -278,7 +284,30 @@ class TestIndexLevelParity:
             expect = sorted(oracle.query(query))
             assert sorted(batch_idx.query(query)) == expect
             assert sorted(seq_idx.query(query)) == expect
+        return batch_idx, seq_idx
+
+    def test_insert_batch_equals_sequential(self):
+        batch_idx, seq_idx = self.batch_and_sequential(PAPER_LEAF_LADDER)
         assert batch_idx.pages_in_use() == seq_idx.pages_in_use()
+
+    def test_insert_batch_builds_the_sequential_records(self):
+        """On the default ladder the two builds hold the same records:
+        the same tree, with every leaf on the same rung.  Their pages
+        may differ, because a one-by-one build promotes leaves through
+        every rung, and each promotion frees a slot on the rung below
+        that only a later record of that size fills; a batch builds
+        each leaf at its final rung."""
+        batch_idx, seq_idx = self.batch_and_sequential(None)
+
+        def records(index):
+            per_size = {}
+            for cls, occupied in index.store._page_meta.values():
+                per_size[cls.record_size] = \
+                    per_size.get(cls.record_size, 0) + occupied
+            return per_size
+
+        assert batch_idx.stats() == seq_idx.stats()
+        assert records(batch_idx) == records(seq_idx)
 
     def test_query_batch_matches_sequential_on_same_index(self):
         rng = random.Random(10)

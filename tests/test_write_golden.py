@@ -3,7 +3,11 @@
 A seeded workload (2,000 objects, 8,000 operations, half of them
 updates) is replayed through the paper-experiment runner over a 16-page
 buffer pool, so almost every node access misses the pool and the write
-path's page traffic is visible in the physical IO.  The counts below were
+path's page traffic is visible in the physical IO.  It runs on the
+paper's two leaf sizes and again on the default four-size ladder, whose
+tree is the same but whose leaf records pack onto fewer pages, so only
+its page IO, promotions and page bytes have golden values of their
+own.  The two-size counts were
 recorded with per-point ``insert``/``delete`` descents; every write now
 runs the grouped descent (a one-point write is a group of one), which
 must read and write the same pages, return the same answers and make the
@@ -30,7 +34,12 @@ import pytest
 
 from repro.bench.runner import make_stripes, run_workload
 from repro.core.nodes import INVALID_RID
-from repro.core.quadtree import DualQuadTree, QuadTreeConfig, QuadTreeCounters
+from repro.core.quadtree import (
+    PAPER_LEAF_LADDER,
+    DualQuadTree,
+    QuadTreeConfig,
+    QuadTreeCounters,
+)
 from repro.core.stripes import StripesConfig, StripesIndex
 from repro.obs.metrics import MetricsRegistry
 from repro.query.types import MovingObjectState
@@ -54,6 +63,19 @@ GOLDEN = {
     "stripes_overflow_spills_total": 0,
 }
 
+#: The same run on the library's default leaf ladder (an eighth of a
+#: page up to a full page).  Its tree is the two-size tree: answers and
+#: split, collapse and spill counts equal :data:`GOLDEN`, and every
+#: extra promotion adds the one logical read of its allocation.
+GOLDEN_LADDER = {
+    **GOLDEN,
+    "update_physical_reads": 4348,
+    "update_physical_writes": 166,
+    "query_physical_reads": 102150,
+    "pages_used": 51,
+    "stripes_leaf_promotions_total": 87,
+}
+
 GOLDEN_PAGE_DIGESTS = {
     "update_heavy_run":
         "30e88ab0c547d75b36ded2882cfcacf54f2724aec3c1c28d4950da6dc43cf2bb",
@@ -67,16 +89,28 @@ GOLDEN_PAGE_DIGESTS = {
         "636dd7403ca0239dbb626af094f2bc36c7d79fe84faf6474e8745d50767c6cd3",
     "a1_chains":
         "f6a0dd7778cfa91cef74cb6b58b17353647c1298fd9a24754e47cc227bcc9037",
+    "update_heavy_run[default ladder]":
+        "7111f5a1271552934fd8550e07a52e5393d1305038836713a246537ee102f453",
 }
+
+
+def update_heavy_run(ladder):
+    registry = MetricsRegistry()
+    workload = generate_workload(SPEC)
+    setup = make_stripes(workload, pool_pages=POOL_PAGES, registry=registry,
+                         quadtree=QuadTreeConfig(leaf_size_ladder=ladder))
+    result = run_workload(setup, workload, registry=registry)
+    return setup, result, registry
 
 
 @pytest.fixture(scope="module")
 def run():
-    registry = MetricsRegistry()
-    workload = generate_workload(SPEC)
-    setup = make_stripes(workload, pool_pages=POOL_PAGES, registry=registry)
-    result = run_workload(setup, workload, registry=registry)
-    return setup, result, registry
+    return update_heavy_run(PAPER_LEAF_LADDER)
+
+
+@pytest.fixture(scope="module")
+def ladder_run():
+    return update_heavy_run(None)
 
 
 def _counter(registry, name):
@@ -106,6 +140,32 @@ def test_answers_and_footprint(run):
 def test_structure_counts(run, name):
     _, _, registry = run
     assert _counter(registry, name) == GOLDEN[name]
+
+
+def test_default_ladder_run(run, ladder_run):
+    setup, result, registry = ladder_run
+    assert result.updates.physical_reads \
+        == GOLDEN_LADDER["update_physical_reads"]
+    assert result.updates.physical_writes \
+        == GOLDEN_LADDER["update_physical_writes"]
+    assert result.queries.physical_reads \
+        == GOLDEN_LADDER["query_physical_reads"]
+    assert result.query_hits == GOLDEN_LADDER["query_hits"]
+    assert result.pages_used == GOLDEN_LADDER["pages_used"]
+    for name in ("stripes_collapses_total", "stripes_leaf_splits_total",
+                 "stripes_leaf_promotions_total",
+                 "stripes_overflow_spills_total"):
+        assert _counter(registry, name) == GOLDEN_LADDER[name]
+    _, paper_result, _ = run
+    ops = result.metrics["counters"]
+    paper_ops = paper_result.metrics["counters"]
+    extra_promotions = (ops["stripes_leaf_promotions_total"]
+                        - paper_ops["stripes_leaf_promotions_total"])
+    assert ops["stripes_pool_logical_reads_total"] \
+        == paper_ops["stripes_pool_logical_reads_total"] + extra_promotions
+    assert setup.index.check() == []
+    assert page_digest(setup.index) \
+        == GOLDEN_PAGE_DIGESTS["update_heavy_run[default ladder]"]
 
 
 def page_digest(index):
@@ -190,9 +250,7 @@ REBUILD_CASES = {
                                  max_depth=1, collapse_capacity=600)),
     # Ablation A1: every leaf is born large, so nothing is promoted.
     "a1_chains": ((3.0, 3.0), (1000.0, 1000.0), False,
-                  QuadTreeConfig(use_small_leaves=False,
-                                 small_leaf_bytes=1024,
-                                 large_leaf_bytes=1024, max_depth=2)),
+                  QuadTreeConfig(leaf_size_ladder=(1024,), max_depth=2)),
 }
 
 

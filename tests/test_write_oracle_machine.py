@@ -14,13 +14,14 @@ entries as the oracle.  Every write result
 (removed flags and counts) and every query answer must equal the
 oracle's; ``refine=False`` must return a superset of it.
 
-Each target uses a small leaf ladder and a small buffer pool, so a few
-dozen objects split leaves, promote them up the ladder, spill into
-overflow chains (a cluster of coincident objects at the maximum depth),
-collapse under-filled subtrees and evict pages in the middle of a write
-descent.  Groups of four or more states take the grouped write path
-(coordinate columns, coalesced non-leaf writes), smaller ones the
-single path.  Tier-1 runs a short profile; the ``slow``-marked test runs
+Each target but one uses a small leaf ladder, and all use a small buffer
+pool, so a few dozen objects split leaves, promote them up the ladder,
+spill into overflow chains (a cluster of coincident objects at the
+maximum depth), collapse under-filled subtrees and evict pages in the
+middle of a write descent; the one target on the default ladder
+promotes leaves through all four of its sizes.  Groups of four or more
+states take the grouped write path (coordinate columns, coalesced
+non-leaf writes), smaller ones the single path.  Tier-1 runs a short profile; the ``slow``-marked test runs
 a longer one.
 """
 
@@ -46,16 +47,21 @@ LIFETIME = 10.0
 VMAX = 2.0
 PMAX = 100.0
 
-#: name -> (d, float32, leaf ladder, max_depth).  The ladders hold 3-20
-#: entries per leaf, so splits, promotions and collapses start within a
-#: few dozen objects; the coincident cluster fills a maximum-depth leaf
-#: and spills into its overflow chain.
+#: name -> (d, float32, leaf ladder, max_depth, preload).  The small
+#: ladders hold 3-20 entries per leaf, so splits, promotions and
+#: collapses start within a few dozen objects; the coincident cluster
+#: fills a maximum-depth leaf and spills into its overflow chain.  The
+#: default ladder (``None``: an eighth of a page up to a full page, 12
+#: to 101 entries) starts from ``preload`` objects inserted one at a
+#: time, which promote the root leaf off the bottom rung; the steps then
+#: promote it to half and to a full page and split it.
 TARGETS = {
-    "d1": (1, False, (128, 256), 4),
-    "d2": (2, False, (256, 512), 4),
-    "d3": (3, False, (256, 512), 3),
-    "d2-float32": (2, True, (128, 256), 4),
-    "d2-ladder": (2, False, (192, 320, 448), 2),
+    "d1": (1, False, (128, 256), 4, 0),
+    "d2": (2, False, (256, 512), 4, 0),
+    "d3": (3, False, (256, 512), 3, 0),
+    "d2-float32": (2, True, (128, 256), 4, 0),
+    "d2-ladder": (2, False, (192, 320, 448), 2, 0),
+    "d2-default": (2, False, None, 1, 20),
 }
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -63,7 +69,7 @@ PICKS = st.integers(min_value=0, max_value=2 ** 16)
 
 
 def machine_for(target: str):
-    d, float32, ladder, max_depth = TARGETS[target]
+    d, float32, ladder, max_depth, preload = TARGETS[target]
 
     class WriteOracleMachine(RuleBasedStateMachine):
         @initialize()
@@ -80,6 +86,12 @@ def machine_for(target: str):
             self.next_oid = 0
             self.current = {}     # oid -> the live state the client holds
             self.expired = []     # states whose window rotated out
+            rng = random.Random(preload)
+            for _ in range(preload):
+                state = self.state(rng, self.fresh_oid())
+                self.index.insert(state)
+                self.oracle.insert(state)
+                self.current[state.oid] = state
 
         # ---------------------------------------------------------- #
         # State helpers
