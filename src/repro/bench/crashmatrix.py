@@ -458,7 +458,7 @@ def _sample_positions(total: int, count: int) -> List[int]:
 
 def run_crash_matrix(seed: int = 0, *, n_initial: int = 600,
                      n_ops: int = 600, n_checkpoints: int = 4,
-                     pool_pages: int = 12, write_stride: int = 5,
+                     pool_pages: int = 9, write_stride: int = 5,
                      failpoint_stride: int = 1, torn_samples: int = 6,
                      transient_samples: int = 4, read_samples: int = 3,
                      survival: str = "none", resume: bool = True,
@@ -470,7 +470,9 @@ def run_crash_matrix(seed: int = 0, *, n_initial: int = 600,
     ``write_stride`` thins the crash-at-write-k axis (stride 1 kills the
     index at *every* page write).  ``survival`` picks the fate of
     unsynced writes at crash time: ``"none"`` (strict fsync), ``"all"``,
-    or ``"mix"`` (seeded coin flip per page).
+    or ``"mix"`` (seeded coin flip per page).  The default pool holds
+    a fraction of the default index, so page writes and
+    between-checkpoint evictions happen throughout the tape.
     """
     _survival_policy(survival, 0)  # validate early
     workload = build_workload(seed, n_initial=n_initial, n_ops=n_ops,
